@@ -12,13 +12,13 @@ baseband offset) with Hermitian symmetry, so they describe real filters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import signal as sig
 
 from .errors import DelayTooLarge, RateMismatch, RfCancelError
-from .waveform import BasebandWaveform
+from .waveform import BasebandWaveform, merge_invalid
 
 INTERP_TAPS = 64
 INTERP_BETA = 8.0
@@ -171,14 +171,8 @@ def _apply_response(w: BasebandWaveform, response: ModulatorResponse) -> np.ndar
     return np.fft.ifft(np.fft.fft(w.samples) * h)
 
 
-def apply_path(w: BasebandWaveform, p: PathModel,
-               rng: np.random.Generator | None = None) -> BasebandWaveform:
-    """Forward model of one mixing-matrix entry.
-
-    gain * delayed(w) through the path response, plus white Gaussian noise
-    of the configured PSD.  The delay rotates the carrier by
-    exp(-j*2*pi*center_freq*delay) on top of shifting the envelope.
-    """
+def _image(w: BasebandWaveform, p: PathModel) -> BasebandWaveform:
+    """Noise-free image of ``w`` through one path: gain * response(delayed(w))."""
     if p.delay >= w.duration:
         raise DelayTooLarge(
             f"path delay {p.delay:.3g} s >= waveform duration {w.duration:.3g} s"
@@ -187,27 +181,68 @@ def apply_path(w: BasebandWaveform, p: PathModel,
         return w.with_samples(np.zeros_like(w.samples))
     out = fractional_delay(w, p.delay)
     carrier_phase = np.exp(-2j * np.pi * w.center_freq * p.delay)
-    samples = _apply_response(out, p.response) * (p.gain * carrier_phase)
-    if p.noise_psd > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        sigma = np.sqrt(p.noise_psd * w.sample_rate / 2.0)
-        samples = samples + sigma * (
-            rng.standard_normal(samples.size)
-            + 1j * rng.standard_normal(samples.size)
-        )
-    return out.with_samples(samples)
+    return out.with_samples(_apply_response(out, p.response)
+                            * (p.gain * carrier_phase))
 
 
-def mix(soi: BasebandWaveform, interference: BasebandWaveform,
-        scenario: MixingScenario) -> tuple[BasebandWaveform, BasebandWaveform]:
-    """Produce the antenna signal r_L and the reference signal r_H.
+def _noise(p: PathModel, w: BasebandWaveform,
+           rng: np.random.Generator) -> np.ndarray | None:
+    """White Gaussian noise of the path's PSD, or None for a silent path."""
+    if p.gain == 0 or p.noise_psd == 0:
+        return None
+    sigma = np.sqrt(p.noise_psd * w.sample_rate / 2.0)
+    return sigma * (rng.standard_normal(w.samples.size)
+                    + 1j * rng.standard_normal(w.samples.size))
 
-    r_L = a11(soi) + a12(interference); r_H = a21(soi) + a22(interference).
-    With reference_mode the a21 entry is exactly zero, so r_H carries
-    interference only.  Per-path noise draws come from independent
-    sub-streams of the scenario seed.
+
+def apply_path(w: BasebandWaveform, p: PathModel,
+               rng: np.random.Generator | None = None) -> BasebandWaveform:
+    """Forward model of one mixing-matrix entry.
+
+    gain * delayed(w) through the path response, plus white Gaussian noise
+    of the configured PSD.  The delay rotates the carrier by
+    exp(-j*2*pi*center_freq*delay) on top of shifting the envelope.
     """
+    out = _image(w, p)
+    noise = _noise(p, w, rng if rng is not None else np.random.default_rng(0))
+    if noise is not None:
+        out.samples += noise
+    return out
+
+
+@dataclass
+class PathImages:
+    """The channel's output split into its linear parts.
+
+    ``y11``/``y21`` are the noise-free images of the SOI on r_L/r_H and
+    ``y12``/``y22`` those of the interference; ``n_l``/``n_h`` are the noise
+    each receiver adds.  Because the channel is linear in the interference,
+    a record at any interference amplitude ``scale`` is
+    r_L = y11 + scale*y12 + n_L and r_H = y21 + scale*y22 + n_H (see
+    ``received``).  ``y21`` is None when a21 is zero, and a noise entry is
+    None when its paths are noiseless.
+    """
+
+    y11: BasebandWaveform
+    y12: BasebandWaveform
+    y21: BasebandWaveform | None
+    y22: BasebandWaveform
+    n_l: np.ndarray | None
+    n_h: np.ndarray | None
+
+    def with_soi(self, soi: BasebandWaveform,
+                 scenario: MixingScenario) -> "PathImages":
+        """The same interference images and noise with another SOI's images."""
+        _check_sources(soi, self.y12)
+        return replace(self, **_soi_images(soi, scenario))
+
+
+def _soi_images(soi: BasebandWaveform, scenario: MixingScenario) -> dict:
+    return {"y11": _image(soi, scenario.a11),
+            "y21": _image(soi, scenario.a21) if scenario.a21.gain else None}
+
+
+def _check_sources(soi: BasebandWaveform, interference: BasebandWaveform):
     if soi.sample_rate != interference.sample_rate:
         raise RateMismatch(
             f"sample rates differ: {soi.sample_rate} vs {interference.sample_rate}"
@@ -216,23 +251,68 @@ def mix(soi: BasebandWaveform, interference: BasebandWaveform,
         raise RateMismatch(
             f"lengths differ: {len(soi)} vs {len(interference)}"
         )
+
+
+def _sum_noise(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    if a is None or b is None:
+        return b if a is None else a
+    a += b
+    return a
+
+
+def path_images(soi: BasebandWaveform, interference: BasebandWaveform,
+                scenario: MixingScenario) -> PathImages:
+    """Noise-free path images of both sources and the per-receiver noise.
+
+    Per-path noise draws come from independent sub-streams of the scenario
+    seed, one per mixing-matrix entry (a11, a12, a21, a22).
+    """
+    _check_sources(soi, interference)
     streams = np.random.SeedSequence(scenario.seed).spawn(4)
-    rngs = [np.random.default_rng(s) for s in streams]
-    y11 = apply_path(soi, scenario.a11, rngs[0])
-    y12 = apply_path(interference, scenario.a12, rngs[1])
-    y21 = apply_path(soi, scenario.a21, rngs[2])
-    y22 = apply_path(interference, scenario.a22, rngs[3])
-    r_l = y11.with_samples(
-        y11.samples + y12.samples,
-        invalid_head=max(y11.invalid_head, y12.invalid_head),
-        invalid_tail=max(y11.invalid_tail, y12.invalid_tail),
+    paths = (scenario.a11, scenario.a12, scenario.a21, scenario.a22)
+    sources = (soi, interference, soi, interference)
+    draws = [_noise(p, w, np.random.default_rng(s))
+             for p, w, s in zip(paths, sources, streams)]
+    return PathImages(
+        **_soi_images(soi, scenario),
+        y12=_image(interference, scenario.a12),
+        y22=_image(interference, scenario.a22),
+        n_l=_sum_noise(draws[0], draws[1]),
+        n_h=_sum_noise(draws[2], draws[3]),
     )
-    r_h = y22.with_samples(
-        y21.samples + y22.samples,
-        invalid_head=max(y21.invalid_head, y22.invalid_head),
-        invalid_tail=max(y21.invalid_tail, y22.invalid_tail),
-    )
-    return r_l, r_h
+
+
+def _receive(like: BasebandWaveform, image: BasebandWaveform, scale: float,
+             own: BasebandWaveform | None,
+             noise: np.ndarray | None) -> BasebandWaveform:
+    samples = image.samples * scale
+    if own is not None:
+        samples += own.samples
+    if noise is not None:
+        samples += noise
+    head, tail = merge_invalid(*(w for w in (image, own) if w is not None))
+    return like.with_samples(samples, invalid_head=head, invalid_tail=tail)
+
+
+def received(images: PathImages,
+             scale: float = 1.0) -> tuple[BasebandWaveform, BasebandWaveform]:
+    """r_L and r_H with the interference amplitude multiplied by ``scale``.
+
+    r_L carries the SOI image's metadata and r_H the interference image's.
+    """
+    return (_receive(images.y11, images.y12, scale, images.y11, images.n_l),
+            _receive(images.y22, images.y22, scale, images.y21, images.n_h))
+
+
+def mix(soi: BasebandWaveform, interference: BasebandWaveform,
+        scenario: MixingScenario) -> tuple[BasebandWaveform, BasebandWaveform]:
+    """Produce the antenna signal r_L and the reference signal r_H.
+
+    r_L = a11(soi) + a12(interference); r_H = a21(soi) + a22(interference).
+    With reference_mode the a21 entry is exactly zero, so r_H carries
+    interference only.
+    """
+    return received(path_images(soi, interference, scenario))
 
 
 def gain_from_db(gain_db: float, phase_deg: float = 0.0) -> complex:
@@ -245,10 +325,13 @@ __all__ = [
     "INTERP_TAPS",
     "MixingScenario",
     "ModulatorResponse",
+    "PathImages",
     "PathModel",
     "apply_path",
     "fractional_delay",
     "gain_from_db",
     "mix",
+    "path_images",
+    "received",
     "true_time_delay",
 ]

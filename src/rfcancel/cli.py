@@ -8,6 +8,7 @@ described by a YAML scenario file.  Exit codes: 0 success, 1 config error,
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import replace
 
@@ -118,9 +119,10 @@ def _print_rows(rows: list[dict]) -> None:
         print("(empty sweep)")
         return
     header = list(rows[0].keys())
-    print(",".join(header))
-    for row in rows:
-        print(",".join(str(row[h]) for h in header))
+    # csv quoting keeps an error message with a comma in its own cell
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([row[h] for h in header] for row in rows)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ parameter.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -19,7 +21,10 @@ import numpy as np
 
 from . import canceller as canc
 from . import metrics as met
-from .channel import apply_path, mix, true_time_delay
+# mix is unused here but stays importable as runner.mix
+from .channel import (  # noqa: F401
+    PathImages, apply_path, mix, path_images, received, true_time_delay,
+)
 from .config import ScenarioConfig
 from .demod import DemodConfig, demodulate, valid_symbol_range
 from .errors import RfCancelError
@@ -61,6 +66,28 @@ class RunReport:
 
 
 @dataclass
+class Sources:
+    """The part of a record that does not depend on the ISR.
+
+    The interference has unit power, and ``images`` holds both sources'
+    noise-free path images and the receiver noise.  The channel is linear in
+    the interference, so the record at any ISR is one scalar on the
+    interference images: ``received(images, scale(isr_db))``.
+    """
+
+    tx_stream: SymbolStream
+    soi: BasebandWaveform
+    interference: BasebandWaveform
+    psd_int: met.PsdEstimate
+    base_ratio_db: float
+    images: PathImages
+
+    def scale(self, isr_db: float) -> float:
+        """Interference amplitude that puts it isr_db above the SOI."""
+        return 10 ** ((isr_db - self.base_ratio_db) / 20.0)
+
+
+@dataclass
 class Synthesized:
     """Everything the canceller stage consumes, plus ground truth."""
 
@@ -88,19 +115,30 @@ def occupied_band(cfg: ScenarioConfig) -> tuple[float, float]:
     return (max(off - half, -nyq), min(off + half, nyq))
 
 
-def synthesize(cfg: ScenarioConfig) -> Synthesized:
-    """Build the sources, calibrate the ISR, and run the mixing channel.
+def synthesize_sources(cfg: ScenarioConfig,
+                       share: Sources | None = None) -> Sources:
+    """Build the symbols, the SOI, the unit-power interference and their
+    path images, and measure the interference/SOI density ratio at the SOI
+    carrier (baseband 0) from their Welch PSDs.
 
-    The interference power is scaled so the measured spectral-density ratio
-    against the SOI at the SOI carrier equals the configured isr_db.
+    ``share`` holds the sources of another SOI format on the same seed and
+    channel: its interference, PSD, interference images and noise are
+    reused and only the SOI side is rebuilt.
     """
     bits_seed, fm_seed, chan_seed = _seed_ints(cfg.sim.seed, 3)
-    sps = cfg.sps
     stream = random_symbols(cfg.soi.format, cfg.sim.n_symbols,
                             cfg.soi.symbol_rate_hz,
                             np.random.default_rng(bits_seed))
-    soi = generate_soi(stream, sps, cfg.soi.rolloff, cfg.soi.span_symbols,
-                       center_freq=cfg.soi.carrier_hz, power=cfg.soi.power)
+    soi = generate_soi(stream, cfg.sps, cfg.soi.rolloff,
+                       cfg.soi.span_symbols, center_freq=cfg.soi.carrier_hz,
+                       power=cfg.soi.power)
+    seg = min(met.DEFAULT_SEG_LEN, len(soi) // 8)
+    psd_soi = met.welch_psd(soi, seg)
+    scenario = cfg.channel.to_scenario(chan_seed)
+    if share is not None:
+        return Sources(stream, soi, share.interference, share.psd_int,
+                       met.isr_at(psd_soi, share.psd_int, 0.0),
+                       share.images.with_soi(soi, scenario))
     fs = cfg.sim.sample_rate_hz
     spec = FmNoiseSpec(cfg.interference.deviation_pp_hz,
                        cfg.interference.mod_noise_bw_hz,
@@ -113,25 +151,31 @@ def synthesize(cfg: ScenarioConfig) -> Synthesized:
         interference = interference.with_samples(
             interference.samples * np.exp(2j * np.pi * offset * t)
         )
-
-    # ISR calibration: measure the unit-power density ratio at the SOI
-    # carrier (baseband 0) and scale the interference amplitude to hit the
-    # configured value
-    seg = min(met.DEFAULT_SEG_LEN, len(soi) // 8)
-    psd_soi = met.welch_psd(soi, seg)
     psd_int = met.welch_psd(interference, seg)
-    base_ratio_db = met.isr_at(psd_soi, psd_int, 0.0)
-    scale = 10 ** ((cfg.interference.isr_db - base_ratio_db) / 20.0)
-    interference = interference.with_samples(interference.samples * scale)
-    isr_measured = met.isr_at(psd_soi, met.welch_psd(interference, seg), 0.0)
+    return Sources(stream, soi, interference, psd_int,
+                   met.isr_at(psd_soi, psd_int, 0.0),
+                   path_images(soi, interference, scenario))
 
-    scenario = cfg.channel.to_scenario(chan_seed)
-    r_l, r_h = mix(soi, interference, scenario)
-    soi_image = apply_path(soi, scenario.a11)
-    int_image = apply_path(interference, scenario.a12)
-    int_reference = apply_path(interference, scenario.a22)
-    return Synthesized(stream, soi, interference, soi_image, int_image,
-                       int_reference, r_l, r_h, isr_measured)
+
+def synthesize(cfg: ScenarioConfig) -> Synthesized:
+    """Build the sources and mix them at the configured ISR.
+
+    The interference amplitude is scaled so the spectral-density ratio
+    against the SOI at the SOI carrier equals the configured isr_db; the
+    ratio is measured once on the unit-power sources and the scale applied
+    to the linear path images.
+    """
+    src = synthesize_sources(cfg)
+    scale = src.scale(cfg.interference.isr_db)
+    r_l, r_h = received(src.images, scale)
+    # the unit-power arrays belong to this call alone: scale them in place
+    # rather than keep scaled copies beside them
+    img = src.images
+    for w in (src.interference, img.y12, img.y22):
+        w.samples *= scale
+    return Synthesized(src.tx_stream, src.soi, src.interference, img.y11,
+                       img.y12, img.y22, r_l, r_h,
+                       src.base_ratio_db + 20 * math.log10(scale))
 
 
 def _train_taps(cfg: ScenarioConfig, r_l: BasebandWaveform,
@@ -155,15 +199,6 @@ def _train_taps(cfg: ScenarioConfig, r_l: BasebandWaveform,
     return taps
 
 
-def _interference_depth(cfg: ScenarioConfig, synth: Synthesized,
-                        taps: canc.CancellerTaps) -> float:
-    """Suppression of the isolated interference component by the taps."""
-    residual = canc.cancel(synth.int_image, synth.int_reference, taps)
-    report = met.cancellation_depth(synth.int_image, residual,
-                                    occupied_band(cfg))
-    return report.depth_db
-
-
 def _measure_evm(cfg: ScenarioConfig, estimate: BasebandWaveform,
                  tx_stream: SymbolStream) -> tuple[met.EvmReport, SymbolStream]:
     dcfg = DemodConfig(
@@ -185,62 +220,91 @@ def _measure_evm(cfg: ScenarioConfig, estimate: BasebandWaveform,
     return met.evm(rx_trim, tx_trim), rx_trim
 
 
+@dataclass
+class Measured:
+    """What one canceller mode made of a record, and how well."""
+
+    estimate: BasebandWaveform
+    evm: met.EvmReport
+    rx_trim: SymbolStream
+    depth_db: float = math.nan
+    taps: canc.CancellerTaps | None = None
+    residual: BasebandWaveform | None = None   # interference after the taps
+    demix: list | None = None
+
+
+def _measure(cfg: ScenarioConfig, mode: str, r_l: BasebandWaveform,
+             r_h: BasebandWaveform, tx_stream: SymbolStream,
+             int_image: BasebandWaveform,
+             int_reference: BasebandWaveform) -> Measured:
+    """Separate the SOI from (r_l, r_h) in ``mode`` and measure EVM, and in
+    reference mode the depth the taps reach on the isolated interference
+    pair (int_image, int_reference).
+
+    Depth is a power ratio, so the pair may be at any common interference
+    scale.
+    """
+    if mode == "off":
+        evm_report, rx_trim = _measure_evm(cfg, r_l, tx_stream)
+        return Measured(r_l, evm_report, rx_trim)
+    if mode == "reference":
+        taps = _train_taps(cfg, r_l, r_h)
+        estimate = canc.cancel(r_l, r_h, taps)
+        # demodulate before the residual exists, so their peaks do not add
+        evm_report, rx_trim = _measure_evm(cfg, estimate, tx_stream)
+        residual = canc.cancel(int_image, int_reference, taps)
+        depth = met.cancellation_depth(int_image, residual, occupied_band(cfg))
+        return Measured(estimate, evm_report, rx_trim, depth.depth_db, taps,
+                        residual)
+    if mode == "bss":
+        result = canc.bss_separate(r_l, r_h, cfg.canceller.ica)
+        result = canc.resolve_permutation(result, r_h)
+        estimate = result.outputs[0]
+        evm_report, rx_trim = _measure_evm(cfg, estimate, tx_stream)
+        return Measured(estimate, evm_report, rx_trim,
+                        demix=[[(c.real, c.imag) for c in row]
+                               for row in result.demix])
+    raise RfCancelError(f"unknown canceller mode {mode!r}")  # pragma: no cover
+
+
 def run(cfg: ScenarioConfig, out_dir: str | os.PathLike | None = None) -> RunReport:
     """Execute one scenario: synthesize, mix, cancel, demodulate, measure."""
     t0 = time.perf_counter()
     synth = synthesize(cfg)
-    mode = cfg.canceller.mode
+    m = _measure(cfg, cfg.canceller.mode, synth.r_l, synth.r_h,
+                 synth.tx_stream, synth.int_image, synth.int_reference)
     taps_dict = None
-    demix_list = None
-    depth_db = math.nan
-
-    if mode == "off":
-        estimate = synth.r_l
-    elif mode == "reference":
-        taps = _train_taps(cfg, synth.r_l, synth.r_h)
-        estimate = canc.cancel(synth.r_l, synth.r_h, taps)
-        depth_db = _interference_depth(cfg, synth, taps)
+    if m.taps is not None:
         taps_dict = {
-            "delay_s": taps.delay,
-            "gain_re": taps.gain.real,
-            "gain_im": taps.gain.imag,
-            "residual_power_db": taps.residual_power_db,
+            "delay_s": m.taps.delay,
+            "gain_re": m.taps.gain.real,
+            "gain_im": m.taps.gain.imag,
+            "residual_power_db": m.taps.residual_power_db,
         }
-    elif mode == "bss":
-        result = canc.bss_separate(synth.r_l, synth.r_h, cfg.canceller.ica)
-        result = canc.resolve_permutation(result, synth.r_h)
-        estimate = result.outputs[0]
-        demix_list = [[(c.real, c.imag) for c in row] for row in result.demix]
-    else:  # pragma: no cover - validated upstream
-        raise RfCancelError(f"unknown canceller mode {mode!r}")
-
-    evm_report, rx_trim = _measure_evm(cfg, estimate, synth.tx_stream)
-    runtime_ms = (time.perf_counter() - t0) * 1e3
     report = RunReport(
-        mode=mode,
-        evm_pct=evm_report.evm_rms_pct,
-        depth_db=depth_db,
+        mode=cfg.canceller.mode,
+        evm_pct=m.evm.evm_rms_pct,
+        depth_db=m.depth_db,
         isr_db_measured=synth.isr_db_measured,
         taps=taps_dict,
-        demix=demix_list,
-        runtime_ms=runtime_ms,
+        demix=m.demix,
+        runtime_ms=(time.perf_counter() - t0) * 1e3,
         seed=cfg.sim.seed,
     )
     if out_dir is not None:
-        _write_artifacts(cfg, synth, estimate, evm_report, rx_trim, report,
-                         out_dir)
+        _write_artifacts(cfg, synth, m, report, out_dir)
     return report
 
 
-def _write_artifacts(cfg, synth, estimate, evm_report, rx_trim, report,
-                     out_dir) -> None:
+def _write_artifacts(cfg: ScenarioConfig, synth: Synthesized, m: Measured,
+                     report: RunReport, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     kinds = set(cfg.outputs.csv)
     path = lambda name: os.path.join(out_dir, name)
     if "report" in kinds:
         _atomic_write(path("report.json"), (report.to_json() + "\n").encode())
     if "constellation" in kinds:
-        rx = rx_trim.symbols
+        rx = m.rx_trim.symbols
         tx = synth.tx_stream.symbols[: rx.size]
         energy = np.real(np.vdot(rx, rx))
         scale = np.vdot(rx, tx) / energy if energy > 0 else 1.0
@@ -251,42 +315,32 @@ def _write_artifacts(cfg, synth, estimate, evm_report, rx_trim, report,
         )
         _atomic_write(path("constellation.csv"),
                       ("\n".join(lines) + "\n").encode())
-        met.export_evm_csv(evm_report, path("evm_errors.csv"))
+        met.export_evm_csv(m.evm, path("evm_errors.csv"))
     if "psd" in kinds:
         seg = min(met.DEFAULT_SEG_LEN, len(synth.r_l) // 8)
         met.export_psd_csv(met.welch_psd(synth.soi, seg), path("psd_soi.csv"))
         met.export_psd_csv(met.welch_psd(synth.interference, seg),
                            path("psd_interference.csv"))
         met.export_psd_csv(met.welch_psd(synth.r_l, seg), path("psd_mixed.csv"))
-        met.export_psd_csv(met.welch_psd(estimate, seg), path("psd_output.csv"))
-    if "depth_curve" in kinds and report.taps is not None:
-        taps = canc.CancellerTaps(report.taps["delay_s"],
-                                  report.taps["gain_re"]
-                                  + 1j * report.taps["gain_im"])
-        residual = canc.cancel(synth.int_image, synth.int_reference, taps)
-        depth = met.cancellation_depth(synth.int_image, residual,
+        met.export_psd_csv(met.welch_psd(m.estimate, seg),
+                           path("psd_output.csv"))
+    if "depth_curve" in kinds and m.residual is not None:
+        depth = met.cancellation_depth(synth.int_image, m.residual,
                                        occupied_band(cfg), per_frequency=True)
         met.export_depth_csv(depth, path("depth_curve.csv"))
     if "waveforms" in kinds:
         save_waveform(synth.r_l, path("r_l.rcwv"))
         save_waveform(synth.r_h, path("r_h.rcwv"))
-        save_waveform(estimate, path("output.rcwv"))
+        save_waveform(m.estimate, path("output.rcwv"))
         # the depth pair is stored valid-trimmed (the binary format carries
         # no edge-validity metadata) so offline recomputation sees exactly
         # the samples the reported depth was measured on
-        before = synth.int_image
-        save_waveform(before.with_samples(before.valid, invalid_head=0,
-                                          invalid_tail=0),
-                      path("int_before.rcwv"))
-        if report.taps is not None:
-            taps = canc.CancellerTaps(report.taps["delay_s"],
-                                      report.taps["gain_re"]
-                                      + 1j * report.taps["gain_im"])
-            residual = canc.cancel(synth.int_image, synth.int_reference, taps)
-            save_waveform(residual.with_samples(residual.valid,
-                                                invalid_head=0,
-                                                invalid_tail=0),
-                          path("int_after.rcwv"))
+        for name, w in (("int_before", synth.int_image),
+                        ("int_after", m.residual)):
+            if w is not None:
+                save_waveform(w.with_samples(w.valid, invalid_head=0,
+                                             invalid_tail=0),
+                              path(f"{name}.rcwv"))
 
 
 def _write_table(rows: list[dict], header: list[str],
@@ -296,36 +350,55 @@ def _write_table(rows: list[dict], header: list[str],
             return f"{v:.10e}"
         return str(v)
 
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(row.get(h, "")) for h in header) for row in rows)
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt(row.get(h, "")) for h in header] for row in rows)
+    _atomic_write(path, buf.getvalue().encode())
+
+
+def _error_cell(exc: BaseException) -> str:
+    """What a sweep row records of the failure that ended it."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _fill_row(row: dict, cfg: ScenarioConfig, src: Sources, isr_db: float,
+              on_mode: str | None) -> None:
+    """Fill a sweep row's evm_off_pct and, when ``on_mode`` is set, its
+    evm_on_pct and depth_db, from the record at isr_db.
+
+    The record and the estimates die with this call, so one row's arrays
+    are freed before the next row allocates its own.
+    """
+    r_l, r_h = received(src.images, src.scale(isr_db))
+    record = (r_l, r_h, src.tx_stream, src.images.y12, src.images.y22)
+    row["evm_off_pct"] = _measure(cfg, "off", *record).evm.evm_rms_pct
+    if on_mode is not None:
+        on = _measure(cfg, on_mode, *record)
+        row["evm_on_pct"] = on.evm.evm_rms_pct
+        row["depth_db"] = on.depth_db
 
 
 def sweep_isr(cfg: ScenarioConfig, isr_list: list[float],
               out_dir: str | os.PathLike | None = None) -> list[dict]:
     """EVM with and without cancellation at each interference ratio.
 
-    Rows share the base seed so only the interference scale varies; per-row
+    The sources are synthesized once; each row scales the interference
+    images to its ISR, so only the interference scale varies.  Per-row
     failures are recorded in the row and the sweep continues.
     """
+    on_mode = None if cfg.canceller.mode == "off" else cfg.canceller.mode
+    src = None
     rows = []
     for isr in isr_list:
         row = {"isr_db": float(isr), "evm_off_pct": math.nan,
                "evm_on_pct": math.nan, "depth_db": math.nan, "error": ""}
         try:
-            base_int = replace(cfg.interference, isr_db=float(isr))
-            cfg_off = replace(
-                cfg, interference=base_int,
-                canceller=replace(cfg.canceller, mode="off"),
-            )
-            row["evm_off_pct"] = run(cfg_off).evm_pct
-            if cfg.canceller.mode != "off":
-                cfg_on = replace(cfg, interference=base_int)
-                rep = run(cfg_on)
-                row["evm_on_pct"] = rep.evm_pct
-                row["depth_db"] = rep.depth_db
+            if src is None:
+                src = synthesize_sources(cfg)
+            _fill_row(row, cfg, src, float(isr), on_mode)
         except RfCancelError as exc:
-            row["error"] = type(exc).__name__
+            row["error"] = _error_cell(exc)
         rows.append(row)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -408,7 +481,7 @@ def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],
                 before, after, band, seg_len=seg).depth_db
             row["oracle_db"] = depth_oracle_db(cfg, taps, carrier + offset)
         except RfCancelError as exc:
-            row["error"] = type(exc).__name__
+            row["error"] = _error_cell(exc)
         rows.append(row)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -419,23 +492,24 @@ def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],
 
 def sweep_format(cfg: ScenarioConfig, formats: list[str],
                  out_dir: str | os.PathLike | None = None) -> list[dict]:
-    """EVM with and without cancellation per modulation format."""
+    """EVM with and without cancellation per modulation format.
+
+    Rows share the interference, its path images and its PSD; only the SOI
+    is regenerated per format.
+    """
+    isr = cfg.sweep.format_isr_db
+    shared = None
     rows = []
     for fmt in formats:
         row = {"format": fmt, "evm_on_pct": math.nan,
                "evm_off_pct": math.nan, "depth_db": math.nan, "error": ""}
         try:
-            soi = replace(cfg.soi, format=fmt)
-            intc = replace(cfg.interference, isr_db=cfg.sweep.format_isr_db)
-            base = replace(cfg, soi=soi, interference=intc)
-            rep_on = run(base)
-            row["evm_on_pct"] = rep_on.evm_pct
-            row["depth_db"] = rep_on.depth_db
-            row["evm_off_pct"] = run(
-                replace(base, canceller=replace(base.canceller, mode="off"))
-            ).evm_pct
+            row_cfg = replace(cfg, soi=replace(cfg.soi, format=fmt))
+            src = synthesize_sources(row_cfg, shared)
+            shared = shared or src
+            _fill_row(row, row_cfg, src, isr, row_cfg.canceller.mode)
         except RfCancelError as exc:
-            row["error"] = type(exc).__name__
+            row["error"] = _error_cell(exc)
         rows.append(row)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -478,7 +552,7 @@ def compare_separators(cfg: ScenarioConfig,
             bss_result = canc.resolve_permutation(bss_result, synth.r_h)
             bss_err = ""
         except RfCancelError as exc:
-            bss_err = type(exc).__name__
+            bss_err = _error_cell(exc)
     bss_ms = (time.perf_counter() - t0) * 1e3
     rows.append({
         "method": "bss",
@@ -500,6 +574,7 @@ def compare_separators(cfg: ScenarioConfig,
 
 __all__ = [
     "RunReport",
+    "Sources",
     "Synthesized",
     "compare_separators",
     "depth_oracle_db",
@@ -509,5 +584,6 @@ __all__ = [
     "sweep_frequency",
     "sweep_isr",
     "synthesize",
+    "synthesize_sources",
     "train_sweep_taps",
 ]

@@ -90,13 +90,27 @@ def merge_invalid(*waves: BasebandWaveform) -> tuple[int, int]:
     return head, tail
 
 
+def _umask() -> int:
+    # the umask can only be read by setting it; the restrictive placeholder
+    # keeps files created meanwhile by other threads private
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write(path: str | os.PathLike, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` through a temporary file and a rename.
+
+    The file gets the mode a plain ``open`` would give it (0666 less the
+    umask), not the 0600 of the temporary file.
+    """
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-rcwv-")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

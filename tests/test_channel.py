@@ -11,6 +11,8 @@ from rfcancel.channel import (
     fractional_delay,
     gain_from_db,
     mix,
+    path_images,
+    received,
     true_time_delay,
 )
 from rfcancel.errors import DelayTooLarge, RateMismatch, RfCancelError
@@ -229,6 +231,29 @@ class TestMix:
         r_l2, r_h2 = mix(soi2, intf2, sc)
         assert np.max(np.abs(r_l2.samples - alpha * r_l1.samples)) < 1e-12
         assert np.max(np.abs(r_h2.samples - alpha * r_h1.samples)) < 1e-12
+
+    def test_scaled_images_match_scaled_interference(self):
+        """received(images, k) is the mix of k times the interference, with
+        the same noise draws, and noiseless paths allocate no noise."""
+        soi = white_wave(8192, seed=1)
+        intf = fm_wave(8192, seed=2)
+        sc = MixingScenario(
+            a11=PathModel(gain=0.9, noise_psd=1e-10),
+            a12=PathModel(gain=1.2 * np.exp(0.4j), delay=12.25 / FS,
+                          noise_psd=1e-10),
+            a21=PathModel(gain=0.0),
+            a22=PathModel(gain=1.1, delay=5 / FS),
+            reference_mode=True, seed=7,
+        )
+        k = 3.7
+        images = path_images(soi, intf, sc)
+        assert images.y21 is None and images.n_h is None
+        got = received(images, k)
+        want = mix(soi, intf.with_samples(k * intf.samples), sc)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g.samples - w.samples)) < 1e-12 * k
+            assert (g.invalid_head, g.invalid_tail) == (w.invalid_head,
+                                                        w.invalid_tail)
 
     def test_covariance_matches_mixing_matrix(self):
         """Sample covariance of (r_L, r_H) converges to A A^H."""

@@ -1,8 +1,11 @@
 """Tests for scenario execution, sweeps, and artifact self-consistency."""
 
 import copy
+import csv
 import json
 import math
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +14,10 @@ import yaml
 
 from rfcancel import metrics as met
 from rfcancel import runner
+from rfcancel.channel import apply_path
 from rfcancel.config import from_tree
+from rfcancel.errors import RfCancelError
+from rfcancel.sigsynth import random_symbols
 
 BASE_TREE = yaml.safe_load("""
 schema_version: 1
@@ -123,6 +129,18 @@ class TestRun:
                                        runner.occupied_band(cfg)).depth_db
         assert depth == pytest.approx(rep.depth_db, abs=0.01)
 
+    def test_artifacts_follow_umask(self, cfg, tmp_path):
+        """Artifacts get 0666 less the umask, like any newly created file."""
+        old = os.umask(0o022)
+        try:
+            runner.run(cfg, tmp_path)
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode)
+                 for p in tmp_path.iterdir()}
+        assert "report.json" in modes and "r_l.rcwv" in modes
+        assert modes == {name: 0o644 for name in modes}
+
     def test_report_json_fields(self, cfg, tmp_path):
         runner.run(cfg, tmp_path)
         rep = json.loads((tmp_path / "report.json").read_text())
@@ -131,17 +149,75 @@ class TestRun:
             assert key in rep
 
 
+class TestGroundTruth:
+    NOISE_PSD = 1e-10
+
+    @pytest.fixture
+    def noisy(self):
+        tree = copy.deepcopy(BASE_TREE)
+        for name in ("a11", "a12", "a22"):
+            tree["channel"]["paths"][name]["noise_psd"] = self.NOISE_PSD
+        return from_tree(tree)
+
+    @staticmethod
+    def _close(got, want):
+        err = np.max(np.abs(got.samples - want.samples))
+        assert err <= 1e-12 * np.max(np.abs(want.samples))
+
+    def test_images_are_noise_free(self, noisy):
+        """The images depth and SIR are measured against carry no noise."""
+        synth = runner.synthesize(noisy)
+        scenario = noisy.channel.to_scenario(0)
+        clean = lambda w, p: apply_path(w, replace(p, noise_psd=0.0))
+        self._close(synth.soi_image, clean(synth.soi, scenario.a11))
+        self._close(synth.int_image, clean(synth.interference, scenario.a12))
+        self._close(synth.int_reference,
+                    clean(synth.interference, scenario.a22))
+
+    def test_reference_noise_is_the_a22_draw(self, noisy):
+        synth = runner.synthesize(noisy)
+        chan_seed = runner._seed_ints(noisy.sim.seed, 3)[2]
+        stream = np.random.SeedSequence(chan_seed).spawn(4)[3]
+        rng = np.random.default_rng(stream)
+        n = len(synth.r_h)
+        sigma = math.sqrt(self.NOISE_PSD * noisy.sim.sample_rate_hz / 2)
+        draw = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        got = synth.r_h.samples - synth.int_reference.samples
+        assert np.max(np.abs(got - draw)) <= 1e-12 * np.max(
+            np.abs(synth.int_reference.samples))
+
+
 class TestSweepIsr:
     def test_empty_list(self, cfg):
         assert runner.sweep_isr(cfg, []) == []
 
     def test_single_point_matches_run(self, cfg):
-        rows = runner.sweep_isr(cfg, [18.0])
-        rep = runner.run(cfg)
-        assert rows[0]["evm_on_pct"] == pytest.approx(rep.evm_pct, rel=1e-9)
-        off = runner.run(replace(cfg,
-                                 canceller=replace(cfg.canceller, mode="off")))
-        assert rows[0]["evm_off_pct"] == pytest.approx(off.evm_pct, rel=1e-9)
+        isrs = [-25.0, -15.0, 0.0, 18.0]
+        rows = runner.sweep_isr(cfg, isrs)
+        for isr, row in zip(isrs, rows):
+            at = replace(cfg, interference=replace(cfg.interference,
+                                                   isr_db=isr))
+            rep = runner.run(at)
+            off = runner.run(replace(at, canceller=replace(at.canceller,
+                                                           mode="off")))
+            assert row["error"] == ""
+            assert row["evm_on_pct"] == pytest.approx(rep.evm_pct, rel=1e-9)
+            assert row["depth_db"] == pytest.approx(rep.depth_db, rel=1e-9)
+            assert row["evm_off_pct"] == pytest.approx(off.evm_pct, rel=1e-9)
+
+    def test_sources_synthesized_once(self, cfg, monkeypatch):
+        calls = {"generate_fm_interference": 0, "generate_soi": 0}
+        for name in calls:
+            fn = getattr(runner, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(runner, name, counted)
+        rows = runner.sweep_isr(cfg, [-10.0, 0.0, 18.0])
+        assert all(row["error"] == "" for row in rows)
+        assert calls == {"generate_fm_interference": 1, "generate_soi": 1}
 
     def test_table_written(self, cfg, tmp_path):
         runner.sweep_isr(cfg, [0.0, 9.0], tmp_path)
@@ -174,6 +250,25 @@ class TestSweepFormat:
         assert math.isnan(rows[0]["evm_on_pct"])
         assert rows[1]["error"] == ""
         assert rows[1]["evm_on_pct"] < 15
+
+    def test_error_cell_carries_message(self, cfg, tmp_path):
+        with pytest.raises(RfCancelError) as info:
+            random_symbols("qam32", 16, 1.0, np.random.default_rng(0))
+        want = f"{type(info.value).__name__}: {info.value}"
+        rows = runner.sweep_format(cfg, ["qam32", "qpsk"], tmp_path)
+        assert rows[0]["error"] == want
+        with open(tmp_path / "sweep_format.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert table[0]["error"] == want
+
+    def test_interference_synthesized_once(self, cfg, monkeypatch):
+        calls = []
+        fn = runner.generate_fm_interference
+        monkeypatch.setattr(runner, "generate_fm_interference",
+                            lambda *a, **k: calls.append(1) or fn(*a, **k))
+        rows = runner.sweep_format(cfg, ["qam32", "qpsk", "qam16"])
+        assert [row["error"] == "" for row in rows] == [False, True, True]
+        assert len(calls) == 1
 
     def test_single_format_consistent(self, cfg):
         rows = runner.sweep_format(cfg, ["qpsk"])
