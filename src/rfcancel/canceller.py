@@ -210,7 +210,7 @@ def cancel(r_l: BasebandWaveform, r_h: BasebandWaveform,
     way the channel's delay element does, so taps transfer across carriers.
     """
     _check_pair(r_l, r_h)
-    ref = true_time_delay(r_h, taps.delay)
+    ref = true_time_delay(r_h, taps.delay) if taps.delay != 0.0 else r_h
     y = r_l.samples - taps.gain * ref.samples
     head, tail = merge_invalid(r_l, ref)
     return r_l.with_samples(y, invalid_head=head, invalid_tail=tail)
@@ -259,9 +259,10 @@ def cancel_auto(r_l: BasebandWaveform, r_h: BasebandWaveform,
     delay = lag / fs
     if refine == "residual" and peak_norm >= noise_floor:
         delay = refine_delay_by_residual(r_l, r_h, delay)
-    gain = estimate_gain(r_l, r_h, delay)
-    taps = CancellerTaps(delay, gain)
-    out = cancel(r_l, r_h, taps)
+    # one delayed reference serves both the gain fit and the subtraction
+    ref = true_time_delay(r_h, delay)
+    taps = CancellerTaps(delay, estimate_gain(r_l, ref))
+    out = cancel(r_l, ref, CancellerTaps(0.0, taps.gain))
     p_in = r_l.power()
     p_out = out.power()
     if p_in > 0 and p_out > 0:

@@ -138,7 +138,7 @@ def fractional_delay(w: BasebandWaveform, tau: float,
     else:
         h = _interp_kernel(frac)
         center = INTERP_TAPS // 2
-        filt = sig.fftconvolve(x, h, mode="full")  # delays by center + frac
+        filt = np.convolve(x, h)  # full length; delays by center + frac
         shift = n_int - center  # y[i] = filt[i - shift]
         y = np.zeros_like(x)
         lo = max(shift, 0)
@@ -260,19 +260,22 @@ def _sum_noise(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
     return a
 
 
+def path_rngs(scenario: MixingScenario) -> list[np.random.Generator]:
+    """One noise generator per mixing-matrix entry (a11, a12, a21, a22),
+    each on its own independent sub-stream of the scenario seed."""
+    return [np.random.default_rng(s)
+            for s in np.random.SeedSequence(scenario.seed).spawn(4)]
+
+
 def path_images(soi: BasebandWaveform, interference: BasebandWaveform,
                 scenario: MixingScenario) -> PathImages:
-    """Noise-free path images of both sources and the per-receiver noise.
-
-    Per-path noise draws come from independent sub-streams of the scenario
-    seed, one per mixing-matrix entry (a11, a12, a21, a22).
-    """
+    """Noise-free path images of both sources and the per-receiver noise,
+    drawn from ``path_rngs``."""
     _check_sources(soi, interference)
-    streams = np.random.SeedSequence(scenario.seed).spawn(4)
     paths = (scenario.a11, scenario.a12, scenario.a21, scenario.a22)
     sources = (soi, interference, soi, interference)
-    draws = [_noise(p, w, np.random.default_rng(s))
-             for p, w, s in zip(paths, sources, streams)]
+    draws = [_noise(p, w, rng)
+             for p, w, rng in zip(paths, sources, path_rngs(scenario))]
     return PathImages(
         **_soi_images(soi, scenario),
         y12=_image(interference, scenario.a12),
@@ -332,6 +335,7 @@ __all__ = [
     "gain_from_db",
     "mix",
     "path_images",
+    "path_rngs",
     "received",
     "true_time_delay",
 ]

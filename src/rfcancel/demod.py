@@ -3,8 +3,7 @@ decimation.
 
 The simulator passes ground-truth timing, so no blind synchronization is
 attempted; the canceller is the quantity under test, not the sync loops.
-An optional data-aided frequency fit handles deliberately injected carrier
-offsets (off by default).
+The matched filter is evaluated only at the symbol instants.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sig
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import fractional_delay
 from .errors import RfCancelError, TooShort
@@ -28,8 +27,7 @@ class DemodConfig:
     format: str
     rolloff: float = 0.2
     span_symbols: int = 16
-    timing_offset: float = 0.0      # samples, ground truth from the scenario
-    carrier_offset_hz: float = 0.0  # enables the data-aided frequency fit
+    timing_offset: float = 0.0  # samples, ground truth from the scenario
     symbol_rate: float | None = None
 
     def __post_init__(self):
@@ -37,6 +35,9 @@ class DemodConfig:
             raise RfCancelError(f"sps must be >= 2, got {self.sps}")
         if self.format not in FORMATS:
             raise RfCancelError(f"unknown format {self.format!r}")
+        if self.timing_offset < 0:
+            raise RfCancelError(
+                f"timing_offset must be >= 0, got {self.timing_offset}")
 
 
 def symbol_count(n_samples: int, cfg: DemodConfig) -> int:
@@ -56,22 +57,25 @@ def demodulate(w: BasebandWaveform, cfg: DemodConfig) -> SymbolStream:
             f"waveform of {len(w)} samples shorter than the "
             f"{cfg.span_symbols * cfg.sps}-sample filter span"
         )
-    x = w
-    if cfg.carrier_offset_hz:
-        t = np.arange(len(w)) / w.sample_rate
-        x = w.with_samples(
-            w.samples * np.exp(-2j * np.pi * cfg.carrier_offset_hz * t)
-        )
     frac = cfg.timing_offset - int(np.floor(cfg.timing_offset))
+    x = w.samples
     if frac > 1e-9:
-        x = fractional_delay(x, -frac / x.sample_rate)
+        x = fractional_delay(w, -frac / w.sample_rate).samples
     offset = int(np.floor(cfg.timing_offset))
     h = rrc_taps(cfg.sps, cfg.rolloff, cfg.span_symbols)
-    filtered = sig.fftconvolve(x.samples, h, mode="full")
+    # sample k of the full convolution is the reversed taps dotted with
+    # x[k - h.size + 1 ... k]; only the symbol instants k = idx are formed
     start = cfg.span_symbols * cfg.sps + offset
     idx = start + cfg.sps * np.arange(n_out)
-    idx = idx[idx < filtered.size]
-    symbols = filtered[idx]
+    idx = idx[idx < x.size + h.size - 1]
+    tail = max(idx[-1] + 1 - x.size, 0) if idx.size else 0
+    if tail:
+        x = np.concatenate([x, np.zeros(tail, x.dtype)])
+    # complex samples as (re, im) float pairs, so the product stays real
+    pairs = np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
+    windows = sliding_window_view(pairs, h.size, axis=0)
+    symbols = (windows[start - h.size + 1::cfg.sps][:idx.size] @ h[::-1]
+               ).view(np.complex128).ravel()
     rate = cfg.symbol_rate or w.sample_rate / cfg.sps
     return SymbolStream(symbols, cfg.format, rate)
 
@@ -89,24 +93,9 @@ def valid_symbol_range(w: BasebandWaveform, cfg: DemodConfig) -> tuple[int, int]
     return max(first_ok, 0), max(last_ok, 0)
 
 
-def estimate_cfo(rx_symbols: np.ndarray, tx_symbols: np.ndarray,
-                 symbol_rate: float) -> float:
-    """Data-aided least-squares frequency fit, Hz.
-
-    Fits a line to the unwrapped phase of rx * conj(tx) across the symbol
-    grid; used only when a carrier offset was deliberately configured.
-    """
-    rot = rx_symbols * np.conj(tx_symbols)
-    phase = np.unwrap(np.angle(rot))
-    t = np.arange(phase.size) / symbol_rate
-    slope = np.polyfit(t, phase, 1)[0]
-    return float(slope / (2 * np.pi))
-
-
 __all__ = [
     "DemodConfig",
     "demodulate",
-    "estimate_cfo",
     "symbol_count",
     "valid_symbol_range",
 ]

@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidLength, InvalidSegment, OutOfBand, RateMismatch
 from .sigsynth import SymbolStream, constellation
@@ -92,11 +93,13 @@ def welch_psd(w: BasebandWaveform, seg_len: int = DEFAULT_SEG_LEN,
     window = np.hanning(seg_len)
     win_power = np.sum(window**2)
     hop = max(1, int(round(seg_len * (1 - overlap))))
-    n_seg = 1 + (x.size - seg_len) // hop
+    frames = sliding_window_view(x, seg_len)[::hop]
+    n_seg = frames.shape[0]
     acc = np.zeros(seg_len)
-    for k in range(n_seg):
-        seg = x[k * hop: k * hop + seg_len] * window
-        acc += np.abs(np.fft.fft(seg)) ** 2
+    # 32 frames per FFT call: few calls, temporaries bounded at any length
+    for k in range(0, n_seg, 32):
+        spectra = np.fft.fft(frames[k: k + 32] * window, axis=1)
+        acc += np.sum(np.abs(spectra) ** 2, axis=0)
     # density scaling: |X|^2 / (fs * sum(window^2)), averaged over segments
     psd = np.fft.fftshift(acc / (n_seg * w.sample_rate * win_power))
     freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, d=1.0 / w.sample_rate))

@@ -23,7 +23,8 @@ from . import canceller as canc
 from . import metrics as met
 # mix is unused here but stays importable as runner.mix
 from .channel import (  # noqa: F401
-    PathImages, apply_path, mix, path_images, received, true_time_delay,
+    PathImages, apply_path, mix, path_images, path_rngs, received,
+    true_time_delay,
 )
 from .config import ScenarioConfig
 from .demod import DemodConfig, demodulate, valid_symbol_range
@@ -447,8 +448,9 @@ def train_sweep_taps(cfg: ScenarioConfig) -> canc.CancellerTaps:
     probe = generate_fm_interference(spec, cfg.sweep.train_samples, fs,
                                      center_freq=carrier)
     scenario = cfg.channel.to_scenario(chan_seed)
-    r_l = apply_path(probe, scenario.a12)
-    r_h = apply_path(probe, scenario.a22)
+    rngs = path_rngs(scenario)
+    r_l = apply_path(probe, scenario.a12, rngs[1])
+    r_h = apply_path(probe, scenario.a22, rngs[3])
     _, taps = canc.cancel_auto(r_l, r_h, max_lag=cfg.canceller.max_lag_s,
                                refine=cfg.canceller.delay_refine)
     err = cfg.canceller.taps_error
@@ -472,8 +474,9 @@ def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],
                "oracle_db": math.nan, "error": ""}
         try:
             tone = _tone_probe(carrier, offset, n, fs)
-            before = apply_path(tone, scenario.a12)
-            reference = apply_path(tone, scenario.a22)
+            rngs = path_rngs(scenario)
+            before = apply_path(tone, scenario.a12, rngs[1])
+            reference = apply_path(tone, scenario.a22, rngs[3])
             after = canc.cancel(before, reference, taps)
             band = (offset - 5e6, offset + 5e6)
             seg = min(met.DEFAULT_SEG_LEN, n // 4)

@@ -187,6 +187,25 @@ class TestCancelAuto:
         eff = [t.gain * np.exp(-2j * np.pi * fc * t.delay) for t in taps]
         assert abs(eff[0] - eff[1]) / abs(eff[0]) < 0.02
 
+    def test_delays_reference_once(self, monkeypatch):
+        """One delayed reference feeds both the gain fit and the
+        subtraction, with the numbers of estimate_gain and cancel."""
+        src = fm_wave(1 << 15, seed=8, center_freq=2.4e9)
+        r_l = apply_path(src, PathModel(gain=1.2 * np.exp(0.5j), delay=15e-9))
+        r_h = apply_path(src, PathModel(gain=0.9, delay=5e-9))
+        calls = []
+        delay = canc.true_time_delay
+        monkeypatch.setattr(canc, "true_time_delay",
+                            lambda w, tau: calls.append(tau) or delay(w, tau))
+        out, taps = canc.cancel_auto(r_l, r_h, max_lag=50 / FS)
+        assert calls == [taps.delay] and taps.delay != 0
+        monkeypatch.undo()
+        assert taps.gain == canc.estimate_gain(r_l, r_h, taps.delay)
+        want = canc.cancel(r_l, r_h, taps)
+        assert np.array_equal(out.samples, want.samples)
+        assert (out.invalid_head, out.invalid_tail) == (
+            want.invalid_head, want.invalid_tail)
+
     def test_reference_separate_metadata(self):
         src = fm_wave(1 << 14, seed=1)
         r_l = src.with_samples(1.5 * src.samples)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sig
 
 from rfcancel.channel import (
+    INTERP_SNAP,
+    INTERP_TAPS,
     MixingScenario,
     ModulatorResponse,
     PathModel,
@@ -15,6 +18,7 @@ from rfcancel.channel import (
     received,
     true_time_delay,
 )
+from rfcancel.channel import _interp_kernel
 from rfcancel.errors import DelayTooLarge, RateMismatch, RfCancelError
 from rfcancel.waveform import BasebandWaveform
 
@@ -117,6 +121,23 @@ class TestFractionalDelay:
         w = white_wave(256)
         with pytest.raises(DelayTooLarge):
             fractional_delay(w, 257 / FS)
+
+    @pytest.mark.parametrize("n, delay", [
+        (4096, 7 + 2 * INTERP_SNAP), (4096, 7.5), (4096, 8 - 2 * INTERP_SNAP),
+        (4096, -3.3), (4096, -0.5), (40, 1.25), (40, -2.75),
+    ])
+    def test_matches_fftconvolve_form(self, n, delay):
+        """The direct-form filter gives the FFT convolution's numbers."""
+        w = white_wave(n, seed=5)
+        total = (delay / FS) * FS
+        n_int = int(np.floor(total))
+        full = sig.fftconvolve(w.samples, _interp_kernel(total - n_int))
+        shift = n_int - INTERP_TAPS // 2
+        want = np.zeros_like(w.samples)
+        lo, hi = max(shift, 0), min(n, full.size + shift)
+        want[lo:hi] = full[lo - shift: hi - shift]
+        got = fractional_delay(w, delay / FS).samples
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(w.samples))
 
     def test_true_time_delay_rotates_carrier(self):
         w = tone_wave(1e6, n=4096, center_freq=2.4e9)

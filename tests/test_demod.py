@@ -2,18 +2,24 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sig
 
 from rfcancel.channel import fractional_delay
 from rfcancel.demod import (
     DemodConfig,
     demodulate,
-    estimate_cfo,
     symbol_count,
     valid_symbol_range,
 )
-from rfcancel.errors import TooShort
+from rfcancel.errors import RfCancelError, TooShort
 from rfcancel.metrics import evm
-from rfcancel.sigsynth import FORMATS, SymbolStream, generate_soi, random_symbols
+from rfcancel.sigsynth import (
+    FORMATS,
+    SymbolStream,
+    generate_soi,
+    random_symbols,
+    rrc_taps,
+)
 
 
 def loopback_evm(fmt, n=4000, sps=8, seed=0, **demod_kw):
@@ -92,18 +98,32 @@ class TestDemodulate:
                   SymbolStream(tx.symbols[first:1000], "qpsk", 5e6))
         assert rep.evm_rms_pct < 0.15
 
-    def test_carrier_offset_compensation(self):
-        """A configured carrier offset is derotated before matched filtering."""
-        rng = np.random.default_rng(7)
-        tx = random_symbols("qpsk", 2000, 5e6, rng)
-        w = generate_soi(tx, sps=8)
-        cfo = 2e3
-        t = np.arange(len(w)) / w.sample_rate
-        off = w.with_samples(w.samples * np.exp(2j * np.pi * cfo * t))
-        rx = demodulate(off, DemodConfig(sps=8, format="qpsk",
-                                         carrier_offset_hz=cfo))
-        rep = evm(SymbolStream(rx.symbols[:2000], "qpsk", 5e6), tx)
-        assert rep.evm_rms_pct < 0.5
+    @pytest.mark.parametrize("sps, offset", [
+        (8, 0), (8, 5), (8, 3.5), (8, 200), (40, 0), (40, 17), (40, 12.25),
+        (40, 700),
+    ])
+    def test_matches_full_convolution(self, sps, offset):
+        """Symbols equal the full FFT convolution sampled at the symbol
+        instants, including the truncation when a large timing offset
+        pushes the trailing instants past the convolution's end."""
+        rng = np.random.default_rng(6)
+        w = generate_soi(random_symbols("qam16", 300, 5e6, rng), sps=sps)
+        cfg = DemodConfig(sps=sps, format="qam16", timing_offset=offset)
+        x = w
+        frac = offset - np.floor(offset)
+        if frac:
+            x = fractional_delay(w, -frac / w.sample_rate)
+        full = sig.fftconvolve(x.samples, rrc_taps(sps, 0.2, 16))
+        idx = 16 * sps + int(np.floor(offset)) + sps * np.arange(
+            symbol_count(len(w), cfg))
+        want = full[idx[idx < full.size]]
+        got = demodulate(w, cfg).symbols
+        assert got.size == want.size
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_negative_timing_offset_rejected(self):
+        with pytest.raises(RfCancelError):
+            DemodConfig(sps=8, format="qpsk", timing_offset=-1.0)
 
 
 class TestValidSymbolRange:
@@ -117,14 +137,3 @@ class TestValidSymbolRange:
         assert first >= 100 // 8
         assert last <= symbol_count(len(w), cfg)
         assert first < last
-
-
-class TestEstimateCfo:
-    def test_recovers_injected_offset(self):
-        rng = np.random.default_rng(5)
-        tx = random_symbols("qpsk", 4000, 5e6, rng)
-        cfo = 1.5e3
-        t = np.arange(4000) / 5e6
-        rx = tx.symbols * np.exp(2j * np.pi * cfo * t)
-        est = estimate_cfo(rx, tx.symbols, 5e6)
-        assert est == pytest.approx(cfo, rel=0.01)

@@ -1,6 +1,7 @@
 """Tests for PSD estimation, ISR, cancellation depth, and EVM."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,36 @@ class TestWelchPsd:
             scatters.append(np.std(est.psd) / np.mean(est.psd))
         assert scatters[0] / scatters[1] == pytest.approx(math.sqrt(10), rel=0.5)
         assert scatters[1] / scatters[2] == pytest.approx(math.sqrt(10), rel=0.5)
+
+
+    @pytest.mark.parametrize("n, seg, overlap", [
+        (20_001, 1024, 0.5), (20_001, 1024, 0.0), (33_333, 4096, 0.75),
+        (4_097, 4096, 0.75), (1_234_567, 4096, 0.5),
+    ])
+    def test_matches_segment_loop(self, n, seg, overlap):
+        """The batched estimate equals a per-segment periodogram loop."""
+        w = white_wave(n, seed=n)
+        window = np.hanning(seg)
+        hop = max(1, int(round(seg * (1 - overlap))))
+        starts = range(0, n - seg + 1, hop)
+        acc = np.zeros(seg)
+        for k in starts:
+            acc += np.abs(np.fft.fft(w.samples[k: k + seg] * window)) ** 2
+        want = np.fft.fftshift(
+            acc / (len(starts) * FS * np.sum(window**2)))
+        got = met.welch_psd(w, seg_len=seg, overlap=overlap).psd
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_peak_memory_bounded_on_long_record(self):
+        """Framing the record allocates batches, not a copy per segment."""
+        w = white_wave(2_631_680, seed=1)
+        tracemalloc.start()
+        try:
+            met.welch_psd(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestIsrAt:

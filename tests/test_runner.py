@@ -243,6 +243,31 @@ class TestSweepFrequency:
         assert lines[0] == "carrier_hz,depth_db,oracle_db,error"
 
 
+    def test_paths_draw_independent_noise(self, monkeypatch):
+        """Training and probe records carry independent a12 and a22 noise,
+        not one draw that the canceller would cancel as interference."""
+        tree = copy.deepcopy(BASE_TREE)
+        for name in ("a12", "a22"):
+            tree["channel"]["paths"][name]["noise_psd"] = 1e-9
+        tree["sweep"] = {"train_samples": 16384}
+        cfg = from_tree(tree)
+        noise = []
+
+        def recording(w, p, rng=None):
+            out = apply_path(w, p, rng)
+            clean = apply_path(w, replace(p, noise_psd=0.0))
+            noise.append(out.samples - clean.samples)
+            return out
+
+        monkeypatch.setattr(runner, "apply_path", recording)
+        runner.sweep_frequency(cfg, [2.4e9])
+        assert len(noise) == 4  # training pair, then one probe pair
+        for n_l, n_h in (noise[:2], noise[2:]):
+            corr = abs(np.vdot(n_l, n_h)) / (np.linalg.norm(n_l)
+                                             * np.linalg.norm(n_h))
+            assert corr < 0.1
+
+
 class TestSweepFormat:
     def test_bad_row_flagged_and_sweep_continues(self, cfg):
         rows = runner.sweep_format(cfg, ["qam32", "qpsk"])
