@@ -59,11 +59,9 @@ class IcaConfig:
 
 @dataclass
 class SeparationResult:
-    """Separated waveforms plus the de-mixing estimate and run metadata.
-
-    ``demix`` is the 2x2 matrix in BSS mode or the CancellerTaps in
-    reference mode.  ``free_parameters`` is 2 for the reference method (one
-    delay, one complex gain) and 4 for full BSS.
+    """Blind-separation outputs plus the 2x2 de-mixing matrix and run
+    metadata.  ``free_parameters`` counts what BSS had to estimate: 4,
+    against 2 (one delay, one complex gain) for the reference method.
     """
 
     outputs: list
@@ -270,19 +268,6 @@ def cancel_auto(r_l: BasebandWaveform, r_h: BasebandWaveform,
     return out, taps
 
 
-def reference_separate(r_l: BasebandWaveform, r_h: BasebandWaveform,
-                       **kwargs) -> SeparationResult:
-    """cancel_auto wrapped as a SeparationResult (free_parameters = 2)."""
-    out, taps = cancel_auto(r_l, r_h, **kwargs)
-    return SeparationResult(
-        outputs=[out],
-        demix=taps,
-        iterations=1,
-        converged=True,
-        free_parameters=2,
-    )
-
-
 def _excess_kurtosis(x: np.ndarray) -> float:
     """Circular complex excess kurtosis; zero for complex Gaussian."""
     p = np.mean(np.abs(x) ** 2)
@@ -398,28 +383,6 @@ def resolve_permutation(result: SeparationResult,
     )
 
 
-def nlms_refine(r_l: BasebandWaveform, r_h_aligned: BasebandWaveform,
-                initial_gain: complex, step_size: float = 0.05) -> complex:
-    """Optional single-tap NLMS polish of the block least-squares gain.
-
-    Disabled by default in scenario configs; block training is quasi-static
-    and deterministic, this exists for drift experiments.
-    """
-    _check_pair(r_l, r_h_aligned)
-    head, tail = merge_invalid(r_l, r_h_aligned)
-    stop = len(r_l) - tail
-    d = r_l.samples[head:stop]
-    x = r_h_aligned.samples[head:stop]
-    w = complex(initial_gain)
-    p = np.mean(np.abs(x) ** 2)
-    if p == 0:
-        raise DegenerateReference("reference signal has zero energy")
-    for k in range(d.size):
-        e = d[k] - w * x[k]
-        w += step_size * e * np.conj(x[k]) / p
-    return w
-
-
 __all__ = [
     "COHERENCE_THRESHOLD",
     "CancellerTaps",
@@ -430,9 +393,7 @@ __all__ = [
     "cancel_auto",
     "estimate_delay",
     "estimate_gain",
-    "nlms_refine",
     "perturb_taps",
     "refine_delay_by_residual",
-    "reference_separate",
     "resolve_permutation",
 ]

@@ -26,6 +26,7 @@ INTERP_BETA = 8.0
 # realized as integer shifts; the phase error this introduces sits at the
 # interpolation error floor
 INTERP_SNAP = 1e-4
+RESPONSE_KINDS = ("flat", "butterworth_lowpass")
 
 
 @dataclass
@@ -37,7 +38,7 @@ class ModulatorResponse:
     order: int = 4
 
     def __post_init__(self):
-        if self.kind not in ("flat", "butterworth_lowpass"):
+        if self.kind not in RESPONSE_KINDS:
             raise RfCancelError(f"unknown response kind {self.kind!r}")
         if self.kind == "butterworth_lowpass":
             if self.f3db <= 0:
@@ -330,6 +331,7 @@ __all__ = [
     "ModulatorResponse",
     "PathImages",
     "PathModel",
+    "RESPONSE_KINDS",
     "apply_path",
     "fractional_delay",
     "gain_from_db",

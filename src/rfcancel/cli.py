@@ -15,7 +15,7 @@ from dataclasses import replace
 import yaml
 
 from . import runner
-from .config import from_tree, validate_tree
+from .config import load_config
 from .errors import ConfigError, RfCancelError
 
 
@@ -39,39 +39,19 @@ def _build_parser() -> argparse.ArgumentParser:
                        "(defaults to the config's outputs.directory)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-        p.add_argument("--format", default="csv", choices=["csv"],
-                       help="artifact format")
     return parser
-
-
-def _load(args) -> tuple:
-    with open(args.config, "r") as fh:
-        tree = yaml.safe_load(fh)
-    bad = validate_tree(tree if isinstance(tree, dict) else {})
-    if bad:
-        raise ConfigError(bad)
-    cfg = from_tree(tree)
-    if args.seed is not None:
-        cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
-    out_dir = args.out or cfg.outputs.directory
-    return cfg, out_dir
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        cfg = load_config(args.config)
         if args.command == "validate-config":
-            with open(args.config, "r") as fh:
-                tree = yaml.safe_load(fh)
-            bad = validate_tree(tree if isinstance(tree, dict) else {})
-            if bad:
-                for item in bad:
-                    print(f"invalid: {item}", file=sys.stderr)
-                return 1
             print(f"{args.config}: ok")
             return 0
-
-        cfg, out_dir = _load(args)
+        if args.seed is not None:
+            cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
+        out_dir = args.out or cfg.outputs.directory
         if args.command == "run":
             report = runner.run(cfg, out_dir)
             print(report.to_json())

@@ -1,21 +1,27 @@
 """Declarative scenario configuration: YAML schema, validation, builders.
 
 A scenario file is a key-value tree with a ``schema_version`` field; every
-shipped experiment is one of these files.  Validation collects *all*
-offending fields before raising, so a bad config reports everything wrong
-with it at once.
+shipped experiment is one of these files.  The dataclasses are the schema:
+a field's annotation is its type, its default what a file may leave out
+(no default: mandatory), and ``CHECKS`` holds its range rule.  Validation
+collects *all* offending fields before raising.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field
+import re
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
-import numpy as np
 import yaml
 
 from .canceller import IcaConfig
-from .channel import MixingScenario, ModulatorResponse, PathModel, gain_from_db
+from .channel import (
+    RESPONSE_KINDS, MixingScenario, ModulatorResponse, PathModel, gain_from_db,
+)
 from .errors import ConfigError
 from .sigsynth import FORMATS
 
@@ -24,6 +30,8 @@ SCHEMA_VERSION = 1
 CANCELLER_MODES = ("off", "reference", "bss")
 DELAY_REFINE_MODES = ("parabolic", "residual")
 CSV_KINDS = ("report", "constellation", "psd", "depth_curve", "waveforms")
+# samples in a record, sps * (n_symbols + span_symbols); 2**26 are 1 GiB
+RECORD_BUDGET = 2**26
 
 
 @dataclass
@@ -40,8 +48,15 @@ class SoiConfig:
 class InterferenceConfig:
     deviation_pp_hz: float = 80e6
     mod_noise_bw_hz: float = 10e6
-    carrier_hz: float = 2.4e9
+    carrier_hz: float | None = None     # None: the SOI carrier
     isr_db: float = 18.0
+
+
+@dataclass
+class ResponseConfig:
+    kind: str = "flat"
+    f3db_hz: float | None = None        # mandatory for butterworth_lowpass
+    order: int | None = None            # mandatory for butterworth_lowpass
 
 
 @dataclass
@@ -50,37 +65,44 @@ class PathConfig:
     phase_deg: float = 0.0
     delay_s: float = 0.0
     noise_psd: float = 0.0
-    response: dict = field(default_factory=dict)
+    response: ResponseConfig = field(default_factory=ResponseConfig)
     zero: bool = False
 
     def to_model(self) -> PathModel:
-        resp = ModulatorResponse(
-            kind=self.response.get("kind", "flat"),
-            f3db=float(self.response.get("f3db_hz", 9e9)),
-            order=int(self.response.get("order", 4)),
-        )
+        r = self.response
+        resp = (ModulatorResponse(r.kind) if r.kind == "flat"
+                else ModulatorResponse(r.kind, r.f3db_hz, r.order))
         gain = 0.0 if self.zero else gain_from_db(self.gain_db, self.phase_deg)
         return PathModel(gain=gain, delay=self.delay_s,
                          response=resp, noise_psd=self.noise_psd)
 
 
 @dataclass
-class ChannelConfig:
-    reference_mode: bool = True
+class CrossPathConfig(PathConfig):
+    zero: bool = True       # a21: no SOI leaks into the reference receiver
+
+
+@dataclass
+class PathsConfig:
     a11: PathConfig = field(default_factory=PathConfig)
     a12: PathConfig = field(default_factory=PathConfig)
-    a21: PathConfig = field(default_factory=lambda: PathConfig(zero=True))
+    a21: CrossPathConfig = field(default_factory=CrossPathConfig)
     a22: PathConfig = field(default_factory=PathConfig)
 
+
+@dataclass
+class ChannelConfig:
+    reference_mode: bool = True
+    paths: PathsConfig = field(default_factory=PathsConfig)
+
+    a11 = property(lambda self: self.paths.a11)
+    a12 = property(lambda self: self.paths.a12)
+    a22 = property(lambda self: self.paths.a22)
+
     def to_scenario(self, seed: int) -> MixingScenario:
-        return MixingScenario(
-            a11=self.a11.to_model(),
-            a12=self.a12.to_model(),
-            a21=self.a21.to_model(),
-            a22=self.a22.to_model(),
-            reference_mode=self.reference_mode,
-            seed=seed,
-        )
+        models = {name: p.to_model() for name, p in vars(self.paths).items()}
+        return MixingScenario(**models, reference_mode=self.reference_mode,
+                              seed=seed)
 
 
 @dataclass
@@ -104,29 +126,29 @@ class CancellerConfig:
     delay_refine: str = "parabolic"
     taps_error: TapsErrorConfig = field(default_factory=TapsErrorConfig)
     ica: IcaConfig = field(default_factory=IcaConfig)
-    nlms: bool = False
+    nlms: bool = False      # accepted only as false, so old files still parse
 
 
 @dataclass
 class SimConfig:
-    sample_rate_hz: float = 200e6
-    n_symbols: int = 6553
-    seed: int = 0
+    sample_rate_hz: float
+    n_symbols: int
+    seed: int           # mandatory: no implicit entropy
 
 
 @dataclass
 class OutputConfig:
     directory: str = "out"
-    csv: tuple = ("report",)
+    csv: tuple[str, ...] = ("report",)
 
 
 @dataclass
 class SweepConfig:
-    isr_db: list = field(default_factory=list)
-    carriers_hz: list = field(default_factory=list)
-    formats: list = field(default_factory=list)
+    isr_db: list[float] = field(default_factory=list)
+    carriers_hz: list[float] = field(default_factory=list)
+    formats: list[str] = field(default_factory=list)
     format_isr_db: float = 9.0
-    train_carrier_hz: float | None = None
+    train_carrier_hz: float | None = None   # None: the SOI carrier
     probe_offset_hz: float = 2e6
     probe_samples: int = 16384
     train_samples: int = 131072
@@ -134,6 +156,7 @@ class SweepConfig:
 
 @dataclass
 class ScenarioConfig:
+    schema_version: int
     soi: SoiConfig
     interference: InterferenceConfig
     channel: ChannelConfig
@@ -147,224 +170,154 @@ class ScenarioConfig:
         return int(round(self.sim.sample_rate_hz / self.soi.symbol_rate_hz))
 
 
-def _get(tree: dict, dotted: str, default=None):
-    node = tree
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    return node
+def _above(lo):
+    return lambda v: None if v > lo else f"must be > {lo}"
 
 
-def _build_path(raw: dict, zero_default: bool = False) -> PathConfig:
-    raw = raw or {}
-    return PathConfig(
-        gain_db=float(raw.get("gain_db", 0.0)),
-        phase_deg=float(raw.get("phase_deg", 0.0)),
-        delay_s=float(raw.get("delay_s", 0.0)),
-        noise_psd=float(raw.get("noise_psd", 0.0)),
-        response=raw.get("response", {}) or {},
-        zero=bool(raw.get("zero", zero_default)),
-    )
+def _at_least(lo):
+    return lambda v: None if v >= lo else f"must be >= {lo}"
 
 
-def validate_tree(tree: dict) -> list[str]:
-    """Return every schema violation as 'dotted.path: reason'."""
-    bad: list[str] = []
+def _one_of(choices):
+    return lambda v: None if v in choices else f"must be one of {choices}"
 
-    def check(cond: bool, path: str, reason: str):
-        if not cond:
-            bad.append(f"{path}: {reason}")
 
-    check(isinstance(tree, dict), "<root>", "config must be a mapping")
-    if not isinstance(tree, dict):
-        return bad
-    version = tree.get("schema_version")
-    check(version == SCHEMA_VERSION, "schema_version",
-          f"must be {SCHEMA_VERSION}, got {version!r}")
+# range rules on converted values, by dotted path ("*" stands for any of
+# the four channel paths); a list's rule applies to each of its entries
+CHECKS = {
+    "schema_version": _one_of((SCHEMA_VERSION,)),
+    "soi.format": _one_of(FORMATS),
+    "soi.symbol_rate_hz": _above(0),
+    "soi.power": _above(0),
+    "soi.rolloff": lambda v: None if 0 < v <= 1 else "must be in (0, 1]",
+    "soi.span_symbols": _at_least(4),
+    "interference.deviation_pp_hz": _at_least(0),
+    "interference.mod_noise_bw_hz": _above(0),
+    "channel.paths.*.delay_s": _at_least(0),
+    "channel.paths.*.noise_psd": _at_least(0),
+    "channel.paths.*.response.kind": _one_of(RESPONSE_KINDS),
+    "channel.paths.*.response.f3db_hz": _above(0),
+    "channel.paths.*.response.order": _at_least(1),
+    "canceller.mode": _one_of(CANCELLER_MODES),
+    "canceller.training_window": _above(0),
+    "canceller.max_lag_s": _above(0),
+    "canceller.delay_refine": _one_of(DELAY_REFINE_MODES),
+    "canceller.ica.max_iter": _at_least(1),
+    "canceller.ica.tol": _above(0),
+    "canceller.ica.seed": _at_least(0),
+    "canceller.nlms": lambda v: None if v is False else (
+        "the NLMS refinement was removed; only false is accepted"),
+    "sim.sample_rate_hz": _above(0),
+    "sim.n_symbols": _at_least(64),
+    "sim.seed": _at_least(0),
+    "outputs.csv": _one_of(CSV_KINDS),
+    "sweep.formats": _one_of(FORMATS),
+}
 
-    fmt = _get(tree, "soi.format", "qpsk")
-    check(fmt in FORMATS, "soi.format", f"must be one of {FORMATS}, got {fmt!r}")
-    sym_rate = _get(tree, "soi.symbol_rate_hz", 5e6)
-    check(isinstance(sym_rate, (int, float)) and sym_rate > 0,
-          "soi.symbol_rate_hz", "must be > 0")
-    power = _get(tree, "soi.power", 1.0)
-    check(isinstance(power, (int, float)) and power > 0, "soi.power", "must be > 0")
-    rolloff = _get(tree, "soi.rolloff", 0.2)
-    check(isinstance(rolloff, (int, float)) and 0 < rolloff <= 1,
-          "soi.rolloff", "must be in (0, 1]")
-    span = _get(tree, "soi.span_symbols", 16)
-    check(isinstance(span, int) and span >= 4, "soi.span_symbols", "must be >= 4")
+# accepted Python types and their name in messages; a bool is not a number
+_TYPES = {float: ((int, float), "a finite number"), int: (int, "an integer"),
+          bool: (bool, "true or false"), str: (str, "a string")}
 
-    dev = _get(tree, "interference.deviation_pp_hz", 80e6)
-    check(isinstance(dev, (int, float)) and dev >= 0,
-          "interference.deviation_pp_hz", "must be >= 0")
-    mbw = _get(tree, "interference.mod_noise_bw_hz", 10e6)
-    check(isinstance(mbw, (int, float)) and mbw > 0,
-          "interference.mod_noise_bw_hz", "must be > 0")
-    isr = _get(tree, "interference.isr_db", 18.0)
-    check(isinstance(isr, (int, float)) and np.isfinite(isr),
-          "interference.isr_db", "must be finite")
 
-    for name in ("a11", "a12", "a21", "a22"):
-        raw = _get(tree, f"channel.paths.{name}") or {}
-        delay = raw.get("delay_s", 0.0)
-        check(isinstance(delay, (int, float)) and delay >= 0,
-              f"channel.paths.{name}.delay_s", "must be >= 0")
-        npsd = raw.get("noise_psd", 0.0)
-        check(isinstance(npsd, (int, float)) and npsd >= 0,
-              f"channel.paths.{name}.noise_psd", "must be >= 0")
-        resp = raw.get("response") or {}
-        kind = resp.get("kind", "flat")
-        check(kind in ("flat", "butterworth_lowpass"),
-              f"channel.paths.{name}.response.kind", f"unknown kind {kind!r}")
-        if kind == "butterworth_lowpass":
-            check(resp.get("f3db_hz", 0) > 0,
-                  f"channel.paths.{name}.response.f3db_hz", "must be > 0")
-            check(int(resp.get("order", 0)) >= 1,
-                  f"channel.paths.{name}.response.order", "must be >= 1")
-    ref_mode = _get(tree, "channel.reference_mode", True)
-    a21 = _get(tree, "channel.paths.a21") or {}
-    if ref_mode and a21 and not a21.get("zero", True):
-        check(a21.get("gain_db") is None, "channel.paths.a21",
-              "reference_mode forces a21 to zero; remove its gain")
-
-    mode = _get(tree, "canceller.mode", "reference")
-    check(mode in CANCELLER_MODES, "canceller.mode",
-          f"must be one of {CANCELLER_MODES}, got {mode!r}")
-    window = _get(tree, "canceller.training_window", 131072)
-    check(isinstance(window, int) and window > 0,
-          "canceller.training_window", "must be a positive integer")
-    max_lag = _get(tree, "canceller.max_lag_s", 1e-7)
-    check(isinstance(max_lag, (int, float)) and max_lag > 0,
-          "canceller.max_lag_s", "must be > 0")
-    refine = _get(tree, "canceller.delay_refine", "parabolic")
-    check(refine in DELAY_REFINE_MODES, "canceller.delay_refine",
-          f"must be one of {DELAY_REFINE_MODES}")
-    max_iter = _get(tree, "canceller.ica.max_iter", 200)
-    check(isinstance(max_iter, int) and max_iter >= 1,
-          "canceller.ica.max_iter", "must be >= 1")
-    tol = _get(tree, "canceller.ica.tol", 1e-6)
-    check(isinstance(tol, (int, float)) and tol > 0,
-          "canceller.ica.tol", "must be > 0")
-
-    fs = _get(tree, "sim.sample_rate_hz", 0)
-    check(isinstance(fs, (int, float)) and fs > 0,
-          "sim.sample_rate_hz", "must be > 0")
-    n_symbols = _get(tree, "sim.n_symbols", 0)
-    check(isinstance(n_symbols, int) and n_symbols >= 64,
-          "sim.n_symbols", "must be an integer >= 64")
-    seed = _get(tree, "sim.seed")
-    check(isinstance(seed, int), "sim.seed",
-          "mandatory integer (no implicit entropy)")
-
-    if isinstance(fs, (int, float)) and fs > 0 and sym_rate and sym_rate > 0:
-        sps = fs / sym_rate
-        check(abs(sps - round(sps)) < 1e-9 and round(sps) >= 2,
-              "sim.sample_rate_hz",
-              f"sample_rate / symbol_rate must be an integer >= 2, got {sps:.6g}")
-        if isinstance(dev, (int, float)) and isinstance(mbw, (int, float)):
-            soi_c = _get(tree, "soi.carrier_hz", 2.4e9)
-            int_c = _get(tree, "interference.carrier_hz", soi_c)
-            offset = abs(float(int_c) - float(soi_c))
-            check(fs > 2 * (dev + mbw) + 2 * offset, "sim.sample_rate_hz",
-                  "must exceed twice the interference occupied bandwidth")
-
-    out_csv = _get(tree, "outputs.csv", ["report"])
-    if not isinstance(out_csv, (list, tuple)):
-        bad.append("outputs.csv: must be a list")
+def _value(kind, raw, path: str, bad: list[str]):
+    """Check and convert one field's value; None if it is invalid."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (list, tuple):
+        if isinstance(raw, list):
+            return origin(_value(args[0], item, path, bad) for item in raw)
+        reason = "must be a list"
+    elif raw is None and type(None) in args:    # X | None: None is unset
+        return None
     else:
-        for kind in out_csv:
-            check(kind in CSV_KINDS, "outputs.csv",
-                  f"unknown artifact {kind!r}, allowed: {CSV_KINDS}")
+        kind = args[0] if args else kind
+        accepted, name = _TYPES[kind]
+        if (isinstance(raw, bool) != (kind is bool) or not isinstance(raw, accepted)
+                or kind is float and not abs(raw) <= sys.float_info.max):
+            reason = f"must be {name}"      # nan, inf and huge ints too
+        else:
+            key = re.sub(r"^channel\.paths\.\w+\.", "channel.paths.*.", path)
+            reason = CHECKS[key](kind(raw)) if key in CHECKS else None
+            if reason is None:
+                return kind(raw)
+    bad.append(f"{path}: {reason}, got {raw!r}")
+    return None
 
-    for key, want in (("sweep.isr_db", (int, float)),
-                      ("sweep.carriers_hz", (int, float))):
-        vals = _get(tree, key)
-        if vals is not None:
-            if not isinstance(vals, list):
-                bad.append(f"{key}: must be a list")
-            else:
-                for v in vals:
-                    check(isinstance(v, want), key, f"bad entry {v!r}")
-    fmts = _get(tree, "sweep.formats")
-    if fmts is not None:
-        for f in np.atleast_1d(fmts):
-            check(f in FORMATS, "sweep.formats", f"unknown format {f!r}")
+
+def _walk(cls, node, prefix: str, bad: list[str]):
+    """Build dataclass ``cls`` from the mapping ``node`` found at the dotted
+    ``prefix``; a key the mapping leaves out takes the field's default."""
+    if not isinstance(node, dict | None):
+        where = prefix.rstrip(".") or "<root>"
+        bad.append(f"{where}: must be a mapping, got {node!r}")
+    node = node if isinstance(node, dict) else {}
+    hints = typing.get_type_hints(cls)
+    bad.extend(f"{prefix}{key}: unknown key" for key in node if key not in hints)
+    values = {}
+    for f in fields(cls):
+        path, kind = prefix + f.name, hints[f.name]
+        if is_dataclass(kind):
+            values[f.name] = _walk(kind, node.get(f.name), path + ".", bad)
+        elif f.name in node:
+            values[f.name] = _value(kind, node[f.name], path, bad)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            bad.append(f"{path}: mandatory, {_TYPES[kind][1]}")
+            values[f.name] = None
+    return cls(**values)
+
+
+def _cross_checks(cfg: ScenarioConfig) -> list[str]:
+    """Rules that tie fields together, on a config of valid fields; also
+    sets the interference carrier that the file leaves out."""
+    soi, intf, sim, chan = cfg.soi, cfg.interference, cfg.sim, cfg.channel
+    if intf.carrier_hz is None:
+        intf.carrier_hz = soi.carrier_hz
+    bad = []
+    sps = sim.sample_rate_hz / soi.symbol_rate_hz
+    if not (math.isfinite(sps) and abs(sps - round(sps)) < 1e-9
+            and round(sps) >= 2):
+        bad.append("sim.sample_rate_hz: sample_rate / symbol_rate must be "
+                   f"an integer >= 2, got {sps:.6g}")
+    elif (n := round(sps) * (sim.n_symbols + soi.span_symbols)) > RECORD_BUDGET:
+        bad.append(f"sim.n_symbols: a record of sps * (n_symbols + "
+                   f"span_symbols) = {n} samples exceeds 2**26")
+    offset = abs(intf.carrier_hz - soi.carrier_hz)
+    if sim.sample_rate_hz <= (2 * (intf.deviation_pp_hz + intf.mod_noise_bw_hz)
+                              + 2 * offset):
+        bad.append("sim.sample_rate_hz: must exceed twice the interference "
+                   "occupied bandwidth")
+    for name, p in vars(chan.paths).items():
+        if p.response.kind == "butterworth_lowpass":
+            bad.extend(f"channel.paths.{name}.response.{key}: mandatory for "
+                       "butterworth_lowpass" for key in ("f3db_hz", "order")
+                       if getattr(p.response, key) is None)
+    if chan.reference_mode and not chan.paths.a21.zero:
+        bad.append("channel.paths.a21: reference_mode forces a21 to zero; "
+                   "set zero: true")
     return bad
 
 
-def from_tree(tree: dict) -> ScenarioConfig:
+def validate_tree(tree) -> list[str]:
+    """Return every schema violation as 'dotted.path: reason'."""
+    try:
+        from_tree(tree)
+    except ConfigError as exc:
+        return exc.fields
+    return []
+
+
+def from_tree(tree) -> ScenarioConfig:
     """Validate and build a ScenarioConfig; raises ConfigError on problems."""
-    bad = validate_tree(tree)
+    bad: list[str] = []
+    cfg = _walk(ScenarioConfig, tree, "", bad)
+    bad = bad or _cross_checks(cfg)
     if bad:
-        raise ConfigError(bad)
-    soi = SoiConfig(
-        format=_get(tree, "soi.format", "qpsk"),
-        symbol_rate_hz=float(_get(tree, "soi.symbol_rate_hz", 5e6)),
-        carrier_hz=float(_get(tree, "soi.carrier_hz", 2.4e9)),
-        power=float(_get(tree, "soi.power", 1.0)),
-        rolloff=float(_get(tree, "soi.rolloff", 0.2)),
-        span_symbols=int(_get(tree, "soi.span_symbols", 16)),
-    )
-    interference = InterferenceConfig(
-        deviation_pp_hz=float(_get(tree, "interference.deviation_pp_hz", 80e6)),
-        mod_noise_bw_hz=float(_get(tree, "interference.mod_noise_bw_hz", 10e6)),
-        carrier_hz=float(_get(tree, "interference.carrier_hz", soi.carrier_hz)),
-        isr_db=float(_get(tree, "interference.isr_db", 18.0)),
-    )
-    channel = ChannelConfig(
-        reference_mode=bool(_get(tree, "channel.reference_mode", True)),
-        a11=_build_path(_get(tree, "channel.paths.a11")),
-        a12=_build_path(_get(tree, "channel.paths.a12")),
-        a21=_build_path(_get(tree, "channel.paths.a21"), zero_default=True),
-        a22=_build_path(_get(tree, "channel.paths.a22")),
-    )
-    taps_error = TapsErrorConfig(
-        gain_mag=float(_get(tree, "canceller.taps_error.gain_mag", 0.0)),
-        gain_phase_deg=float(_get(tree, "canceller.taps_error.gain_phase_deg", 0.0)),
-        delay_s=float(_get(tree, "canceller.taps_error.delay_s", 0.0)),
-    )
-    canceller = CancellerConfig(
-        mode=_get(tree, "canceller.mode", "reference"),
-        training_window=int(_get(tree, "canceller.training_window", 131072)),
-        max_lag_s=float(_get(tree, "canceller.max_lag_s", 1e-7)),
-        delay_refine=_get(tree, "canceller.delay_refine", "parabolic"),
-        taps_error=taps_error,
-        ica=IcaConfig(
-            max_iter=int(_get(tree, "canceller.ica.max_iter", 200)),
-            tol=float(_get(tree, "canceller.ica.tol", 1e-6)),
-            seed=int(_get(tree, "canceller.ica.seed", 0)),
-        ),
-        nlms=bool(_get(tree, "canceller.nlms", False)),
-    )
-    sim = SimConfig(
-        sample_rate_hz=float(_get(tree, "sim.sample_rate_hz", 200e6)),
-        n_symbols=int(_get(tree, "sim.n_symbols", 6553)),
-        seed=int(_get(tree, "sim.seed", 0)),
-    )
-    outputs = OutputConfig(
-        directory=str(_get(tree, "outputs.directory", "out")),
-        csv=tuple(_get(tree, "outputs.csv", ["report"])),
-    )
-    sweep = SweepConfig(
-        isr_db=list(_get(tree, "sweep.isr_db", []) or []),
-        carriers_hz=list(_get(tree, "sweep.carriers_hz", []) or []),
-        formats=list(_get(tree, "sweep.formats", []) or []),
-        format_isr_db=float(_get(tree, "sweep.format_isr_db", 9.0)),
-        train_carrier_hz=_get(tree, "sweep.train_carrier_hz"),
-        probe_offset_hz=float(_get(tree, "sweep.probe_offset_hz", 2e6)),
-        probe_samples=int(_get(tree, "sweep.probe_samples", 16384)),
-        train_samples=int(_get(tree, "sweep.train_samples", 131072)),
-    )
-    return ScenarioConfig(soi, interference, channel, canceller, sim,
-                          outputs, sweep)
+        raise ConfigError(dict.fromkeys(bad))
+    return cfg
 
 
 def load_config(path: str | os.PathLike) -> ScenarioConfig:
     with open(path, "r") as fh:
-        tree = yaml.safe_load(fh)
-    return from_tree(tree)
+        return from_tree(yaml.safe_load(fh))
 
 
 __all__ = [

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidLength, InvalidSegment, OutOfBand, RateMismatch
 from .sigsynth import SymbolStream, constellation
-from .waveform import BasebandWaveform, _atomic_write
+from .waveform import BasebandWaveform, _write_csv
 
 DEFAULT_SEG_LEN = 4096
 DEFAULT_OVERLAP = 0.5
@@ -210,34 +210,23 @@ def sir_against_truth(output: BasebandWaveform, target: BasebandWaveform,
 
 def export_psd_csv(est: PsdEstimate, path: str | os.PathLike) -> None:
     """freq_hz,psd_db_hz rows."""
-    floor = np.finfo(float).tiny
-    lines = ["freq_hz,psd_db_hz"]
-    lines.extend(
-        f"{f:.10e},{10*np.log10(max(p, floor)):.10e}"
-        for f, p in zip(est.freqs, est.psd)
-    )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    db = 10 * np.log10(np.maximum(est.psd, np.finfo(float).tiny))
+    _write_csv(path, "freq_hz,psd_db_hz", "%.10e,%.10e", est.freqs, db)
 
 
 def export_evm_csv(report: EvmReport, path: str | os.PathLike) -> None:
     """symbol_idx,err_re,err_im rows."""
-    lines = ["symbol_idx,err_re,err_im"]
-    lines.extend(
-        f"{i},{e.real:.10e},{e.imag:.10e}"
-        for i, e in enumerate(report.per_symbol_errors)
-    )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    err = report.per_symbol_errors
+    _write_csv(path, "symbol_idx,err_re,err_im", "%d,%.10e,%.10e",
+               range(err.size), err.real, err.imag)
 
 
 def export_depth_csv(report: DepthReport, path: str | os.PathLike) -> None:
     """freq_hz,depth_db rows (per-frequency curve required)."""
     if report.freqs is None or report.curve_db is None:
         raise InvalidLength("depth report has no per-frequency curve")
-    lines = ["freq_hz,depth_db"]
-    lines.extend(
-        f"{f:.10e},{d:.10e}" for f, d in zip(report.freqs, report.curve_db)
-    )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    _write_csv(path, "freq_hz,depth_db", "%.10e,%.10e", report.freqs,
+               report.curve_db)
 
 
 __all__ = [

@@ -24,7 +24,6 @@ from . import metrics as met
 # mix is unused here but stays importable as runner.mix
 from .channel import (  # noqa: F401
     PathImages, apply_path, mix, path_images, path_rngs, received,
-    true_time_delay,
 )
 from .config import ScenarioConfig
 from .demod import DemodConfig, demodulate, valid_symbol_range
@@ -36,7 +35,9 @@ from .sigsynth import (
     generate_soi,
     random_symbols,
 )
-from .waveform import BasebandWaveform, _atomic_write, save_waveform
+from .waveform import (
+    BasebandWaveform, _atomic_write, _write_csv, save_waveform,
+)
 
 
 @dataclass
@@ -190,9 +191,6 @@ def _train_taps(cfg: ScenarioConfig, r_l: BasebandWaveform,
     _, taps = canc.cancel_auto(train_l, train_h,
                                max_lag=cfg.canceller.max_lag_s,
                                refine=cfg.canceller.delay_refine)
-    if cfg.canceller.nlms:
-        aligned = true_time_delay(train_h, taps.delay)
-        taps.gain = canc.nlms_refine(train_l, aligned, taps.gain)
     err = cfg.canceller.taps_error
     if err.active:
         taps = canc.perturb_taps(taps, err.gain_mag, err.gain_phase_deg,
@@ -310,12 +308,9 @@ def _write_artifacts(cfg: ScenarioConfig, synth: Synthesized, m: Measured,
         energy = np.real(np.vdot(rx, rx))
         scale = np.vdot(rx, tx) / energy if energy > 0 else 1.0
         aligned = scale * rx
-        lines = ["symbol_idx,re,im"]
-        lines.extend(
-            f"{i},{s.real:.10e},{s.imag:.10e}" for i, s in enumerate(aligned)
-        )
-        _atomic_write(path("constellation.csv"),
-                      ("\n".join(lines) + "\n").encode())
+        _write_csv(path("constellation.csv"), "symbol_idx,re,im",
+                   "%d,%.10e,%.10e", range(rx.size), aligned.real,
+                   aligned.imag)
         met.export_evm_csv(m.evm, path("evm_errors.csv"))
     if "psd" in kinds:
         seg = min(met.DEFAULT_SEG_LEN, len(synth.r_l) // 8)

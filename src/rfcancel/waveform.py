@@ -2,8 +2,7 @@
 
 The binary format is shared by every tool in the repo: little-endian header
 ``{magic "RCWV", version u32, sample_rate f64, center_freq f64, n_samples
-u64}`` followed by interleaved float32 (re, im) pairs.  CSV export writes
-``index,re,im`` rows for plotting.
+u64}`` followed by interleaved float32 (re, im) pairs.
 """
 
 from __future__ import annotations
@@ -118,6 +117,17 @@ def _atomic_write(path: str | os.PathLike, payload: bytes) -> None:
         raise
 
 
+def _write_csv(path: str | os.PathLike, header: str, row: str,
+               *columns) -> None:
+    """Write ``header`` and one ``row % values`` line per entry of the
+    equal-length ``columns`` (atomically).  ``%`` gives the same text as an
+    f-string with the same format specs, nan, inf and -0.0 included."""
+    lines = [header]
+    lines.extend(row % values for values in
+                 zip(*(np.asarray(c).tolist() for c in columns)))
+    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+
+
 def save_waveform(w: BasebandWaveform, path: str | os.PathLike) -> None:
     """Write the shared binary waveform format (atomically)."""
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, w.sample_rate, w.center_freq,
@@ -145,20 +155,10 @@ def load_waveform(path: str | os.PathLike) -> BasebandWaveform:
     return BasebandWaveform(samples=samples, sample_rate=fs, center_freq=fc)
 
 
-def export_csv(w: BasebandWaveform, path: str | os.PathLike) -> None:
-    """Write index,re,im rows (atomically, fixed float format)."""
-    lines = ["index,re,im"]
-    lines.extend(
-        f"{i},{s.real:.10e},{s.imag:.10e}" for i, s in enumerate(w.samples)
-    )
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
-
-
 __all__ = [
     "BasebandWaveform",
     "FORMAT_VERSION",
     "MAGIC",
-    "export_csv",
     "load_waveform",
     "merge_invalid",
     "save_waveform",

@@ -206,14 +206,6 @@ class TestCancelAuto:
         assert (out.invalid_head, out.invalid_tail) == (
             want.invalid_head, want.invalid_tail)
 
-    def test_reference_separate_metadata(self):
-        src = fm_wave(1 << 14, seed=1)
-        r_l = src.with_samples(1.5 * src.samples)
-        result = canc.reference_separate(r_l, src)
-        assert result.free_parameters == 2
-        assert result.converged
-        assert isinstance(result.demix, canc.CancellerTaps)
-
 
 class TestBssSeparate:
     def _sources(self, n=1 << 17, isr=4.0):
@@ -302,16 +294,3 @@ class TestResolvePermutation:
         with pytest.raises(AmbiguousLabeling):
             canc.resolve_permutation(self._result(soi, intf), other)
 
-
-class TestNlmsRefine:
-    def test_converges_to_ls_gain(self):
-        ref = fm_wave(1 << 14, seed=3)
-        r_l = ref.with_samples(1.7 * np.exp(0.4j) * ref.samples)
-        w = canc.nlms_refine(r_l, ref, initial_gain=1.0 + 0j)
-        assert w == pytest.approx(1.7 * np.exp(0.4j), abs=1e-3)
-
-    def test_zero_reference_raises(self):
-        r_l = white_wave(1024)
-        r_h = r_l.with_samples(np.zeros(1024, dtype=complex))
-        with pytest.raises(DegenerateReference):
-            canc.nlms_refine(r_l, r_h, 1.0 + 0j)

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 import yaml
 
 from rfcancel.cli import main
@@ -117,3 +118,63 @@ class TestSweeps:
         lines = (tmp_path / "cmp" / "compare_bss.csv").read_text().splitlines()
         assert lines[0].startswith("method,")
         assert len(lines) == 3
+
+
+def _set(*keys, value):
+    """A mutation of GOOD that sets the entry at ``keys`` to ``value``."""
+    def mutate(tree):
+        node = tree
+        for key in keys[:-1]:
+            node = node.setdefault(key, {})
+        node[keys[-1]] = value
+    return mutate
+
+
+BUTTERWORTH = {"kind": "butterworth_lowpass", "f3db_hz": 9.0e9, "order": 4}
+
+# inputs that ended in a traceback or ran on defaults, and the field each
+# must name
+BAD_INPUTS = {
+    "f3db_hz as text": (
+        _set("channel", "paths", "a12", "response",
+             value=dict(BUTTERWORTH, f3db_hz="9e9")),
+        "channel.paths.a12.response.f3db_hz"),
+    "order as a word": (
+        _set("channel", "paths", "a12", "response",
+             value=dict(BUTTERWORTH, order="four")),
+        "channel.paths.a12.response.order"),
+    "path as a list": (_set("channel", "paths", "a11", value=[1, 2]),
+                       "channel.paths.a11"),
+    "phase as text": (_set("channel", "paths", "a12", "phase_deg", value="x"),
+                      "channel.paths.a12.phase_deg"),
+    "ica seed as text": (_set("canceller", "ica", "seed", value="z"),
+                         "canceller.ica.seed"),
+    "probe samples as text": (_set("sweep", "probe_samples", value="many"),
+                              "sweep.probe_samples"),
+    "soi as a string": (_set("soi", value="qpsk"), "soi"),
+    "paths as a string": (_set("channel", "paths", value="x"),
+                          "channel.paths"),
+    "formats as a string": (_set("sweep", "formats", value="qpsk"),
+                            "sweep.formats"),
+}
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_exit_1_naming_the_field(self, case, command, tmp_path, capsys):
+        mutate, field = BAD_INPUTS[case]
+        tree = json.loads(json.dumps(GOOD))
+        mutate(tree)
+        path = write_cfg(tmp_path, tree)
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"invalid: {field}:" in capsys.readouterr().err
+
+    def test_bool_symbol_rate_is_not_1_hz(self, tmp_path, capsys):
+        # validate-config only: a run at 1 Hz would ask for 24 GiB
+        tree = json.loads(json.dumps(GOOD))
+        tree["soi"]["symbol_rate_hz"] = True
+        path = write_cfg(tmp_path, tree)
+        assert main(["validate-config", "--config", path]) == 1
+        assert "invalid: soi.symbol_rate_hz:" in capsys.readouterr().err

@@ -1,0 +1,176 @@
+"""Tests for the scenario schema's type rules, record budget and robustness
+against malformed files."""
+
+import copy
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rfcancel.cli import main
+from rfcancel.config import RECORD_BUDGET, from_tree, validate_tree
+from rfcancel.errors import ConfigError
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = {str(p.relative_to(CONFIG_DIR)): yaml.safe_load(p.read_text())
+           for p in sorted(CONFIG_DIR.rglob("*.yaml"))}
+DEFAULT = SHIPPED["default.yaml"]
+
+
+def mutated(tree, keys, value):
+    tree = copy.deepcopy(tree)
+    node = tree
+    for key in keys[:-1]:
+        node = node.setdefault(key, {})
+    node[keys[-1]] = value
+    return tree
+
+
+def problems(tree, keys, value):
+    return validate_tree(mutated(tree, keys, value))
+
+
+class TestTypes:
+    @pytest.mark.parametrize("value", [
+        True, "5.0e+06", "5e6", [5.0e6], None, float("inf"), float("nan"),
+        pytest.param(10**400, id="10**400")])
+    def test_number_field_rejects_non_numbers(self, value):
+        bad = problems(DEFAULT, ("soi", "symbol_rate_hz"), value)
+        assert [p.split(":")[0] for p in bad] == ["soi.symbol_rate_hz"]
+
+    def test_integer_field_rejects_float(self):
+        bad = problems(DEFAULT, ("sim", "n_symbols"), 4096.0)
+        assert bad and bad[0].startswith("sim.n_symbols: must be an integer")
+
+    def test_bool_field_rejects_number(self):
+        bad = problems(DEFAULT, ("channel", "reference_mode"), 1)
+        assert bad and bad[0].startswith("channel.reference_mode:")
+
+    def test_list_entries_checked(self):
+        bad = problems(DEFAULT, ("sweep", "isr_db"), [0.0, "x", True])
+        assert bad == ["sweep.isr_db: must be a finite number, got 'x'",
+                       "sweep.isr_db: must be a finite number, got True"]
+
+    def test_ints_convert_to_floats(self):
+        cfg = from_tree(mutated(DEFAULT, ("sweep", "isr_db"), [-5, 9]))
+        assert cfg.sweep.isr_db == [-5.0, 9.0]
+        assert all(type(v) is float for v in cfg.sweep.isr_db)
+
+    def test_unknown_key_named(self):
+        bad = problems(DEFAULT, ("interference", "isr_dB"), 3.0)
+        assert bad == ["interference.isr_dB: unknown key"]
+
+    def test_empty_section_takes_defaults(self):
+        cfg = from_tree(mutated(DEFAULT, ("sweep",), None))
+        assert cfg.sweep.isr_db == [] and cfg.sweep.probe_samples == 16384
+
+    def test_missing_interference_carrier_is_the_soi_carrier(self):
+        tree = mutated(DEFAULT, ("soi", "carrier_hz"), 1.0e9)
+        del tree["interference"]["carrier_hz"]
+        assert from_tree(tree).interference.carrier_hz == 1.0e9
+
+    @pytest.mark.parametrize("keys", [("sim", "seed"),
+                                      ("canceller", "ica", "seed")])
+    def test_negative_seed_rejected(self, keys):
+        assert problems(DEFAULT, keys, -1)[0].startswith(".".join(keys))
+
+
+class TestRules:
+    def test_nlms_true_names_the_removal(self):
+        with pytest.raises(ConfigError) as err:
+            from_tree(mutated(DEFAULT, ("canceller", "nlms"), True))
+        assert err.value.fields[0].startswith("canceller.nlms:")
+        assert "removed" in err.value.fields[0]
+
+    def test_butterworth_needs_f3db_and_order(self):
+        bad = problems(DEFAULT, ("channel", "paths", "a12", "response"),
+                       {"kind": "butterworth_lowpass"})
+        assert [p.split(":")[0] for p in bad] == [
+            "channel.paths.a12.response.f3db_hz",
+            "channel.paths.a12.response.order"]
+
+    def test_a21_must_be_zero_in_reference_mode(self):
+        bad = problems(DEFAULT, ("channel", "paths", "a21"), {"zero": False})
+        assert [p.split(":")[0] for p in bad] == ["channel.paths.a21"]
+
+    def test_a21_defaults_to_zero(self):
+        tree = mutated(DEFAULT, ("channel", "reference_mode"), False)
+        tree["channel"]["paths"]["a21"] = {"gain_db": -20.0}
+        assert from_tree(tree).channel.to_scenario(0).a21.gain == 0
+
+    def test_record_over_budget_rejected(self):
+        # 40 samples per symbol: the record passes 2**26 samples here
+        n = RECORD_BUDGET // 40
+        bad = problems(DEFAULT, ("sim", "n_symbols"), n)
+        assert [p.split(":")[0] for p in bad] == ["sim.n_symbols"]
+        assert problems(DEFAULT, ("sim", "n_symbols"), n - 16) == []
+
+    def test_sixteenfold_record_within_budget(self):
+        tree = SHIPPED["evm_vs_isr.yaml"]
+        span = tree["soi"]["span_symbols"]
+        n = 16 * (tree["sim"]["n_symbols"] + span) - span
+        assert problems(tree, ("sim", "n_symbols"), n) == []
+
+
+def key_paths(node, prefix=()):
+    """Every key path of a tree, sections included."""
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, prefix + (key,))
+
+
+def wrong_type(value):
+    if isinstance(value, bool):
+        return 0
+    if isinstance(value, (int, float)):
+        return str(value)
+    if isinstance(value, str):
+        return 1.5
+    if isinstance(value, list):
+        return "a"
+    return 3
+
+
+MUTATIONS = {
+    "wrong type": wrong_type,
+    "bool": lambda value: True,
+    "string": lambda value: "x",
+    "list": lambda value: [1, 2],
+    "none": lambda value: None,
+}
+
+
+@st.composite
+def single_field_mutations(draw):
+    """A shipped config with one entry retyped, replaced or deleted."""
+    tree = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    *parents, last = draw(st.sampled_from(list(key_paths(tree))))
+    node = tree
+    for key in parents:
+        node = node[key]
+    how = draw(st.sampled_from(sorted(MUTATIONS) + ["delete"]))
+    if how == "delete":
+        del node[last]
+    else:
+        node[last] = MUTATIONS[how](node[last])
+    return tree
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(tree=single_field_mutations())
+def test_single_field_mutation_builds_or_raises_config_error(
+        tree, tmp_path_factory):
+    try:
+        from_tree(tree)
+        valid = True
+    except ConfigError as exc:
+        assert exc.fields
+        valid = False
+    assert (validate_tree(tree) == []) == valid
+    path = tmp_path_factory.getbasetemp() / "mutated.yaml"
+    path.write_text(yaml.safe_dump(tree))
+    assert main(["validate-config", "--config", str(path)]) == (0 if valid
+                                                                else 1)

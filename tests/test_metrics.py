@@ -304,3 +304,16 @@ class TestCsvExports:
         lines = (tmp_path / "d.csv").read_text().strip().split("\n")
         assert lines[0] == "freq_hz,depth_db"
         assert len(lines) == 1 + rep.freqs.size
+
+    def test_psd_csv_matches_per_row_form(self, tmp_path):
+        """The vectorized dB column gives the text the per-row f-string
+        with a scalar floor gave, zero, subnormal, nan and inf included."""
+        psd = np.array([0.0, 1e-320, 1.0, 3.7e-12, np.nan, np.inf, 2.5e-3])
+        freqs = np.array([-3e6, -1e6, -0.0, 0.0, 1e6, 2e6, 3e6])
+        est = met.PsdEstimate(freqs, psd, 1e3)
+        met.export_psd_csv(est, tmp_path / "psd.csv")
+        floor = np.finfo(float).tiny
+        want = ["freq_hz,psd_db_hz"] + [
+            f"{f:.10e},{10*np.log10(max(p, floor)):.10e}"
+            for f, p in zip(freqs, psd)]
+        assert (tmp_path / "psd.csv").read_text() == "\n".join(want) + "\n"

@@ -1,4 +1,4 @@
-"""Tests for the waveform container and its binary/CSV formats."""
+"""Tests for the waveform container and its binary format."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from rfcancel.waveform import (
     FORMAT_VERSION,
     MAGIC,
     BasebandWaveform,
-    export_csv,
+    _write_csv,
     load_waveform,
     merge_invalid,
     save_waveform,
@@ -101,13 +101,22 @@ class TestBinaryFormat:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class TestCsvExport:
-    def test_format(self, tmp_path):
-        w = BasebandWaveform(np.array([1 + 2j, -0.5j]), FS)
-        path = tmp_path / "w.csv"
-        export_csv(w, path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "index,re,im"
-        idx, re, im = lines[1].split(",")
-        assert (int(idx), float(re), float(im)) == (0, 1.0, 2.0)
-        assert float(lines[2].split(",")[2]) == -0.5
+class TestWriteCsv:
+    def test_matches_fstring_rows(self, tmp_path):
+        """%-formatted rows read exactly like f-string rows with the same
+        specs, for the float edge cases included."""
+        x = np.array([0.0, -0.0, 1.0, -1.5e-300, 5e-324, np.pi, -2.5e7,
+                      1.7976931348623157e308, np.nan, np.inf, -np.inf])
+        z = np.empty(x.size, dtype=complex)
+        z.real, z.imag = x, x[::-1]
+        path = tmp_path / "rows.csv"
+        _write_csv(path, "i,re,im,x", "%d,%.10e,%.10e,%.10e",
+                   range(x.size), z.real, z.imag, x)
+        want = ["i,re,im,x"] + [f"{i},{c.real:.10e},{c.imag:.10e},{v:.10e}"
+                                for i, (c, v) in enumerate(zip(z, x))]
+        assert path.read_text() == "\n".join(want) + "\n"
+
+    def test_empty_columns_write_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        _write_csv(path, "a,b", "%.10e,%.10e", np.array([]), np.array([]))
+        assert path.read_text() == "a,b\n"
