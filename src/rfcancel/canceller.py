@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy import signal as sig
 
 from .channel import fractional_delay, true_time_delay
 from .errors import (
@@ -104,10 +102,13 @@ def _xcorr_peak(r_l: BasebandWaveform, r_h: BasebandWaveform,
         )
         norm = np.linalg.norm(xw) * np.linalg.norm(y[m_lag: m_lag + width])
     else:
-        corr = sig.correlate(x, y, mode="full", method="fft")
-        lags = np.arange(-(n - 1), n)
-        keep = np.abs(lags) <= max_lag_samples
-        corr, lags = corr[keep], lags[keep]
+        # circular correlation over nfft >= n + m points: lags -m..m do
+        # not wrap onto any lag the record can hold
+        m_lag = min(max_lag_samples, n - 1)
+        nfft = 1 << (n + m_lag - 1).bit_length()
+        circ = np.fft.ifft(np.fft.fft(x, nfft) * np.conj(np.fft.fft(y, nfft)))
+        corr = np.concatenate((circ[nfft - m_lag:], circ[: m_lag + 1]))
+        lags = np.arange(-m_lag, m_lag + 1)
         norm = np.linalg.norm(x) * np.linalg.norm(y)
     mag = np.abs(corr)
     peak = int(np.argmax(mag))
@@ -169,6 +170,9 @@ def refine_delay_by_residual(r_l: BasebandWaveform, r_h: BasebandWaveform,
         if denom == 0:
             return 0.0
         return -abs(np.vdot(b, a)) / denom
+
+    # the only scipy import in the package, paid by residual refinement only
+    from scipy import optimize
 
     half = span_samples / fs
     res = optimize.minimize_scalar(

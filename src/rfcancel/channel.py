@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import signal as sig
 
 from .errors import DelayTooLarge, RateMismatch, RfCancelError
 from .waveform import BasebandWaveform, merge_invalid
@@ -51,8 +50,12 @@ class ModulatorResponse:
         f = np.atleast_1d(np.asarray(freq_hz, dtype=float))
         if self.kind == "flat":
             return np.ones(f.shape, dtype=np.complex128)
-        b, a = sig.butter(self.order, 1.0, analog=True, output="ba")
-        _, h = sig.freqs(b, a, worN=np.abs(f) / self.f3db)
+        # analog Butterworth prototype: left-half-plane poles on the unit
+        # circle, H(s) = 1 / prod(s - p), evaluated at s = j|f|/f3db
+        n = self.order
+        poles = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2) / (2 * n))
+        a = np.poly(poles).real
+        h = 1 / np.polyval(a, 1j * (np.abs(f) / self.f3db))
         return np.where(f < 0, np.conj(h), h)
 
 
@@ -97,14 +100,13 @@ def _interp_kernel(frac: float, taps: int = INTERP_TAPS,
     on the fractional target, so the response stays symmetric about the
     actual delay.
     """
-    from scipy.special import i0
-
     center = taps // 2
     x = np.arange(taps + 1) - center - frac
     half = taps / 2 + 1.0
     arg = 1.0 - (x / half) ** 2
-    window = np.where(arg > 0, i0(beta * np.sqrt(np.clip(arg, 0, None))), 0.0)
-    h = np.sinc(x) * window / i0(beta)
+    window = np.where(arg > 0, np.i0(beta * np.sqrt(np.clip(arg, 0, None))), 0.0)
+    # the window's 1/i0(beta) scale cancels in the unit-DC-gain division
+    h = np.sinc(x) * window
     return h / np.sum(h)
 
 

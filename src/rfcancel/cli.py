@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 
 import yaml
 
 from . import runner
-from .config import load_config
+from .config import load_config, with_seed
 from .errors import ConfigError, RfCancelError
 
 
@@ -46,11 +45,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = with_seed(cfg, args.seed)
         if args.command == "validate-config":
             print(f"{args.config}: ok")
             return 0
-        if args.seed is not None:
-            cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
         out_dir = args.out or cfg.outputs.directory
         if args.command == "run":
             report = runner.run(cfg, out_dir)

@@ -9,12 +9,15 @@ collects *all* offending fields before raising.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
 import sys
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import (
+    MISSING, dataclass, field, fields, is_dataclass, replace,
+)
 
 import yaml
 
@@ -32,6 +35,9 @@ DELAY_REFINE_MODES = ("parabolic", "residual")
 CSV_KINDS = ("report", "constellation", "psd", "depth_curve", "waveforms")
 # samples in a record, sps * (n_symbols + span_symbols); 2**26 are 1 GiB
 RECORD_BUDGET = 2**26
+# bound on every dB field: 10**(300/20) amplitude keeps a record's power
+# finite even with a path gain and the ISR both at the bound
+DB_LIMIT = 300.0
 
 
 @dataclass
@@ -178,6 +184,10 @@ def _at_least(lo):
     return lambda v: None if v >= lo else f"must be >= {lo}"
 
 
+def _db(v):
+    return None if abs(v) <= DB_LIMIT else f"must be within +-{DB_LIMIT:g} dB"
+
+
 def _one_of(choices):
     return lambda v: None if v in choices else f"must be one of {choices}"
 
@@ -193,6 +203,8 @@ CHECKS = {
     "soi.span_symbols": _at_least(4),
     "interference.deviation_pp_hz": _at_least(0),
     "interference.mod_noise_bw_hz": _above(0),
+    "interference.isr_db": _db,
+    "channel.paths.*.gain_db": _db,
     "channel.paths.*.delay_s": _at_least(0),
     "channel.paths.*.noise_psd": _at_least(0),
     "channel.paths.*.response.kind": _one_of(RESPONSE_KINDS),
@@ -211,6 +223,8 @@ CHECKS = {
     "sim.n_symbols": _at_least(64),
     "sim.seed": _at_least(0),
     "outputs.csv": _one_of(CSV_KINDS),
+    "sweep.isr_db": _db,
+    "sweep.format_isr_db": _db,
     "sweep.formats": _one_of(FORMATS),
 }
 
@@ -243,6 +257,11 @@ def _value(kind, raw, path: str, bad: list[str]):
     return None
 
 
+# the schema's annotations are strings (postponed evaluation); resolve each
+# class once rather than on every walk
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _walk(cls, node, prefix: str, bad: list[str]):
     """Build dataclass ``cls`` from the mapping ``node`` found at the dotted
     ``prefix``; a key the mapping leaves out takes the field's default."""
@@ -250,7 +269,7 @@ def _walk(cls, node, prefix: str, bad: list[str]):
         where = prefix.rstrip(".") or "<root>"
         bad.append(f"{where}: must be a mapping, got {node!r}")
     node = node if isinstance(node, dict) else {}
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     bad.extend(f"{prefix}{key}: unknown key" for key in node if key not in hints)
     values = {}
     for f in fields(cls):
@@ -320,6 +339,15 @@ def load_config(path: str | os.PathLike) -> ScenarioConfig:
         return from_tree(yaml.safe_load(fh))
 
 
+def with_seed(cfg: ScenarioConfig, seed) -> ScenarioConfig:
+    """``cfg`` with ``sim.seed`` replaced, checked by the schema's rule."""
+    bad: list[str] = []
+    seed = _value(int, seed, "sim.seed", bad)
+    if bad:
+        raise ConfigError(bad)
+    return replace(cfg, sim=replace(cfg.sim, seed=seed))
+
+
 __all__ = [
     "CANCELLER_MODES",
     "CSV_KINDS",
@@ -337,4 +365,5 @@ __all__ = [
     "from_tree",
     "load_config",
     "validate_tree",
+    "with_seed",
 ]

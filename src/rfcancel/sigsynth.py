@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sig
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AliasedConfig, InvalidLength, RfCancelError
 from .waveform import BasebandWaveform
@@ -146,6 +146,27 @@ def rrc_taps(sps: int, rolloff: float, span_symbols: int) -> np.ndarray:
     return h / np.sqrt(np.sum(h**2))
 
 
+def _shape_symbols(symbols: np.ndarray, h: np.ndarray, sps: int,
+                   span: int) -> np.ndarray:
+    """Full convolution of the sps-fold zero-stuffed symbols with ``h``.
+
+    Polyphase form: output sample q*sps + r is the dot product of the
+    symbols q-span..q with every sps-th tap from r, so each output row of
+    sps samples is one window of span+1 symbols times the (span+1, sps)
+    tap matrix.  The length is exactly (n_symbols + span) * sps.
+    """
+    taps = np.zeros((span + 1) * sps)
+    taps[: h.size] = h
+    # row d of the flipped matrix holds the taps that weight symbol q-span+d
+    taps = taps.reshape(span + 1, sps)[::-1]
+    padded = np.zeros(symbols.size + 2 * span, dtype=np.complex128)
+    padded[span: span + symbols.size] = symbols
+    shaped = np.empty((symbols.size + span, sps), dtype=np.complex128)
+    shaped.real = sliding_window_view(padded.real, span + 1) @ taps
+    shaped.imag = sliding_window_view(padded.imag, span + 1) @ taps
+    return shaped.ravel()
+
+
 def generate_soi(stream: SymbolStream, sps: int, rolloff: float = 0.2,
                  span_symbols: int = 16, center_freq: float = 0.0,
                  power: float = 1.0) -> BasebandWaveform:
@@ -159,10 +180,7 @@ def generate_soi(stream: SymbolStream, sps: int, rolloff: float = 0.2,
     if span_symbols < 4:
         raise RfCancelError(f"span_symbols must be >= 4, got {span_symbols}")
     h = rrc_taps(sps, rolloff, span_symbols)
-    up = np.zeros(stream.symbols.size * sps, dtype=np.complex128)
-    up[::sps] = stream.symbols
-    # full convolution length is exactly (n_symbols + span_symbols) * sps
-    shaped = sig.fftconvolve(up, h, mode="full")
+    shaped = _shape_symbols(stream.symbols, h, sps, span_symbols)
     rms = np.sqrt(np.mean(np.abs(shaped) ** 2))
     shaped *= np.sqrt(power) / rms
     return BasebandWaveform(
@@ -170,6 +188,16 @@ def generate_soi(stream: SymbolStream, sps: int, rolloff: float = 0.2,
         sample_rate=stream.symbol_rate * sps,
         center_freq=center_freq,
     )
+
+
+def _modulation_taps(bandwidth: float, sample_rate: float) -> np.ndarray:
+    """257-tap Hamming-windowed sinc lowpass at unit DC gain (the window
+    method of scipy's ``firwin``), cut off at ``bandwidth`` or 0.45 fs if
+    lower."""
+    c = 2 * min(bandwidth, 0.45 * sample_rate) / sample_rate
+    m = np.arange(257) - 128
+    taps = c * np.sinc(c * m) * np.hamming(257)
+    return taps / np.sum(taps)
 
 
 def generate_fm_interference(spec: FmNoiseSpec, n_samples: int,
@@ -195,10 +223,11 @@ def generate_fm_interference(spec: FmNoiseSpec, n_samples: int,
         samples = np.full(n_samples, amp, dtype=np.complex128)
         return BasebandWaveform(samples, sample_rate, center_freq)
     noise = rng.standard_normal(n_samples)
-    cutoff = min(spec.mod_noise_bw, 0.45 * sample_rate)
-    ntaps = 257
-    taps = sig.firwin(ntaps, cutoff, fs=sample_rate)
-    f_inst = sig.fftconvolve(noise, taps, mode="same")
+    taps = _modulation_taps(spec.mod_noise_bw, sample_rate)
+    # the centre n_samples of the full convolution, also for records
+    # shorter than the filter
+    half = taps.size // 2
+    f_inst = np.convolve(noise, taps)[half: half + n_samples]
     f_inst -= np.mean(f_inst)
     span = np.max(f_inst) - np.min(f_inst)
     f_inst *= spec.deviation_pp / span

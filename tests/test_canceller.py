@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sig
 
 from rfcancel import canceller as canc
 from rfcancel.channel import PathModel, apply_path
@@ -51,6 +52,54 @@ class TestEstimateDelay:
         noisy = delayed.with_samples(delayed.samples + noise.samples)
         tau = canc.estimate_delay(noisy, ref, max_lag=100 / FS)
         assert tau * FS == pytest.approx(12.25, abs=0.05)
+
+
+def _full_xcorr_peak(x, y, max_lag):
+    """(lag, normalized peak) from the full correlation over all 2n-1 lags,
+    cropped to |lag| <= max_lag, with the same parabolic refinement."""
+    corr = sig.correlate(x, y, mode="full", method="fft")
+    lags = np.arange(-(x.size - 1), x.size)
+    keep = np.abs(lags) <= max_lag
+    mag, lags = np.abs(corr[keep]), lags[keep]
+    peak = int(np.argmax(mag))
+    lag = float(lags[peak])
+    if 0 < peak < mag.size - 1:
+        c_m, c_0, c_p = mag[peak - 1], mag[peak], mag[peak + 1]
+        denom = c_m - 2 * c_0 + c_p
+        if denom < 0:
+            lag += 0.5 * (c_m - c_p) / denom
+    return lag, mag[peak] / (np.linalg.norm(x) * np.linalg.norm(y))
+
+
+def _lagged_pair(n, lag, seed=4):
+    """r_L holding r_H's content `lag` samples later, plus noise."""
+    rng = np.random.default_rng(seed)
+    ref = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return (BasebandWaveform(np.roll(ref, lag) + 0.5 * noise, FS),
+            BasebandWaveform(ref, FS))
+
+
+class TestXcorrPeak:
+    @pytest.mark.parametrize("lag", [-700, 37, 300])
+    @pytest.mark.parametrize("max_lag", [0, 65, 500, 1024, 4095, 10000])
+    def test_matches_full_correlation(self, max_lag, lag):
+        """Only the lags within reach are transformed; the lag and peak are
+        those of the full correlation."""
+        r_l, r_h = _lagged_pair(4096, lag)
+        want_lag, want_peak = _full_xcorr_peak(r_l.samples, r_h.samples,
+                                               max_lag)
+        got_lag, got_peak = canc._xcorr_peak(r_l, r_h, max_lag)
+        assert got_lag == pytest.approx(want_lag, abs=1e-9)
+        assert got_peak == pytest.approx(want_peak, rel=1e-12)
+
+    def test_cancel_auto_default_lag_range(self):
+        """max_lag=None searches min(1024, n/4 - 1) lags either side."""
+        r_l, r_h = _lagged_pair(4096, -700)
+        want_lag, _ = _full_xcorr_peak(r_l.samples, r_h.samples, 1023)
+        _, taps = canc.cancel_auto(r_l, r_h, max_lag=None)
+        assert taps.delay * FS == pytest.approx(want_lag, abs=1e-9)
+        assert round(want_lag) == -700
 
 
 class TestEstimateGain:

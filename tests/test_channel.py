@@ -54,6 +54,16 @@ class TestModulatorResponse:
         r = ModulatorResponse("butterworth_lowpass", f3db=9e9, order=4)
         assert r.eval(-5e9)[0] == pytest.approx(np.conj(r.eval(5e9)[0]))
 
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_butterworth_matches_scipy(self, order):
+        """The pole form gives scipy's butter/freqs numbers, H(-f) = H*(f)."""
+        f = np.linspace(-40e9, 40e9, 2001)
+        b, a = sig.butter(order, 1.0, analog=True, output="ba")
+        _, h = sig.freqs(b, a, worN=np.abs(f) / 9e9)
+        want = np.where(f < 0, np.conj(h), h)
+        got = ModulatorResponse("butterworth_lowpass", 9e9, order).eval(f)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_invalid_params(self):
         with pytest.raises(RfCancelError):
             ModulatorResponse("butterworth_lowpass", f3db=-1.0)
@@ -138,6 +148,16 @@ class TestFractionalDelay:
         want[lo:hi] = full[lo - shift: hi - shift]
         got = fractional_delay(w, delay / FS).samples
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(w.samples))
+
+    @pytest.mark.parametrize("frac", [1e-4, 0.25, 0.5, 0.9999])
+    def test_kernel_matches_scipy_i0_form(self, frac):
+        from scipy.special import i0
+
+        x = np.arange(INTERP_TAPS + 1) - INTERP_TAPS // 2 - frac
+        arg = 1.0 - (x / (INTERP_TAPS / 2 + 1.0)) ** 2
+        want = np.sinc(x) * i0(8.0 * np.sqrt(arg)) / i0(8.0)
+        want /= np.sum(want)
+        assert np.max(np.abs(_interp_kernel(frac) - want)) <= 1e-15
 
     def test_true_time_delay_rotates_carrier(self):
         w = tone_wave(1e6, n=4096, center_freq=2.4e9)

@@ -1,6 +1,11 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -70,6 +75,14 @@ class TestRun:
         main(["run", "--config", path, "--out", out, "--seed", "77"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["seed"] == 77
+
+    @pytest.mark.parametrize("command", ["run", "validate-config"])
+    def test_negative_seed_override_exit_1(self, command, tmp_path, capsys):
+        """The --seed override goes through the schema's sim.seed rule."""
+        path = write_cfg(tmp_path, GOOD)
+        assert main([command, "--config", path, "--out", str(tmp_path / "a"),
+                     "--seed", "-1"]) == 1
+        assert "invalid: sim.seed: must be >= 0" in capsys.readouterr().err
 
     def test_config_error_exit_1(self, tmp_path, capsys):
         bad = json.loads(json.dumps(GOOD))
@@ -178,3 +191,66 @@ class TestBadInputs:
         path = write_cfg(tmp_path, tree)
         assert main(["validate-config", "--config", path]) == 1
         assert "invalid: soi.symbol_rate_hz:" in capsys.readouterr().err
+
+    # finite dB values whose 10**(x/20) overflowed, with a command that
+    # reaches each field
+    HUGE_DB = {
+        "interference.isr_db": (_set("interference", "isr_db", value=1e308),
+                                "run"),
+        "channel.paths.a12.gain_db": (
+            _set("channel", "paths", "a12", "gain_db", value=1e308), "run"),
+        "sweep.isr_db": (_set("sweep", "isr_db", value=[0.0, -1e308]),
+                         "sweep-isr"),
+        "sweep.format_isr_db": (
+            _set("sweep", "format_isr_db", value=1e308), "sweep-format"),
+    }
+
+    @pytest.mark.parametrize("field", sorted(HUGE_DB))
+    def test_huge_db_exit_1(self, field, tmp_path, capsys):
+        mutate, command = self.HUGE_DB[field]
+        tree = json.loads(json.dumps(GOOD))
+        mutate(tree)
+        path = write_cfg(tmp_path, tree)
+        for cmd in ("validate-config", command):
+            assert main([cmd, "--config", path,
+                         "--out", str(tmp_path / "out")]) == 1
+            assert f"invalid: {field}: must be within +-300 dB" in (
+                capsys.readouterr().err)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_commands_start_without_scipy(tmp_path):
+    """A fresh `run` of the default scenario loads none of scipy's signal,
+    optimize, special or fft modules: only the residual delay refinement
+    imports scipy.optimize."""
+    code = ("import sys\n"
+            "from rfcancel import cli\n"
+            "rc = cli.main(['run', '--config', 'configs/default.yaml', "
+            f"'--out', {str(tmp_path)!r}])\n"
+            "print(rc, *sorted(m for m in sys.modules if m.startswith('scipy')))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    assert rc == "0"
+    for name in ("scipy.signal", "scipy.optimize", "scipy.special",
+                 "scipy.fft"):
+        assert name not in loaded
+
+
+def test_no_module_level_scipy_import():
+    for path in sorted((ROOT / "src" / "rfcancel").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (
+                f"{path.name} imports {names} at module level")

@@ -71,6 +71,15 @@ class TestTypes:
         del tree["interference"]["carrier_hz"]
         assert from_tree(tree).interference.carrier_hz == 1.0e9
 
+    @pytest.mark.parametrize("keys", [("interference", "isr_db"),
+                                      ("channel", "paths", "a22", "gain_db"),
+                                      ("sweep", "format_isr_db")])
+    def test_db_bound_is_inclusive(self, keys):
+        for value in (-300.0, 300.0):
+            assert problems(DEFAULT, keys, value) == []
+        assert problems(DEFAULT, keys, 300.5) == [
+            f"{'.'.join(keys)}: must be within +-300 dB, got 300.5"]
+
     @pytest.mark.parametrize("keys", [("sim", "seed"),
                                       ("canceller", "ica", "seed")])
     def test_negative_seed_rejected(self, keys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sig
 
 from rfcancel import sigsynth as ss
 from rfcancel.errors import AliasedConfig, InvalidLength, RfCancelError
@@ -150,6 +151,20 @@ class TestGenerateSoi:
         with pytest.raises(RfCancelError):
             ss.generate_soi(stream, sps=4, span_symbols=2)
 
+    @pytest.mark.parametrize("span", [4, 16])
+    @pytest.mark.parametrize("sps", [2, 8, 40])
+    def test_matches_fftconvolve_form(self, sps, span, rng):
+        """The polyphase form gives the zero-stuffed FFT convolution's
+        numbers."""
+        stream = ss.random_symbols("qam16", 300, 1e6, rng)
+        up = np.zeros(stream.symbols.size * sps, dtype=np.complex128)
+        up[::sps] = stream.symbols
+        want = sig.fftconvolve(up, ss.rrc_taps(sps, 0.2, span), mode="full")
+        want /= np.sqrt(np.mean(np.abs(want) ** 2))
+        got = ss.generate_soi(stream, sps, span_symbols=span).samples
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 class TestFmInterference:
     def test_zero_deviation_is_pure_tone(self):
@@ -196,3 +211,26 @@ class TestFmInterference:
             ss.FmNoiseSpec(deviation_pp=1.0, mod_noise_bw=0.0)
         with pytest.raises(RfCancelError):
             ss.FmNoiseSpec(deviation_pp=1.0, mod_noise_bw=1e6, power=0.0)
+
+    @pytest.mark.parametrize("bw, fs", [
+        (10e6, 200e6), (1e6, 20e6),
+        # above 0.45 fs: the cutoff is clamped there
+        (95e6, 200e6), (400e6, 500e6)])
+    def test_taps_match_firwin(self, bw, fs):
+        want = sig.firwin(257, min(bw, 0.45 * fs), fs=fs)
+        assert np.max(np.abs(ss._modulation_taps(bw, fs) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [100, 4096])
+    def test_matches_fftconvolve_form(self, n):
+        """np.convolve keeps the centre of the full convolution, also for a
+        record shorter than the 257-tap filter."""
+        spec = ss.FmNoiseSpec(deviation_pp=80e6, mod_noise_bw=10e6, seed=3)
+        noise = np.random.default_rng(3).standard_normal(n)
+        f_inst = sig.fftconvolve(noise, sig.firwin(257, 10e6, fs=200e6),
+                                 mode="same")
+        f_inst -= np.mean(f_inst)
+        f_inst *= 80e6 / (np.max(f_inst) - np.min(f_inst))
+        want = np.exp(2j * np.pi * np.cumsum(f_inst) / 200e6)
+        got = ss.generate_fm_interference(spec, n, 200e6).samples
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-9
