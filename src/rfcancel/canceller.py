@@ -11,6 +11,7 @@ fixed-point ICA that has to search the full 2x2 de-mixing space.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +30,8 @@ from .errors import (
 from .waveform import BasebandWaveform, merge_invalid
 
 COHERENCE_THRESHOLD = 0.2
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -213,7 +216,23 @@ def cancel(r_l: BasebandWaveform, r_h: BasebandWaveform,
     """
     _check_pair(r_l, r_h)
     ref = true_time_delay(r_h, taps.delay) if taps.delay != 0.0 else r_h
-    y = r_l.samples - taps.gain * ref.samples
+    return subtract(r_l, ref, taps.gain)
+
+
+def subtract(r_l: BasebandWaveform, ref: BasebandWaveform, gain: complex,
+             in_place: bool = False) -> BasebandWaveform:
+    """r_L - gain * ref for a reference that is already delayed.
+
+    ``in_place=True`` forms the difference in ``ref``'s own buffer, which
+    then holds the result; the values are the same either way.
+    """
+    _check_pair(r_l, ref)
+    if in_place:
+        # the same two operations, in this order, as the expression below
+        y = np.multiply(gain, ref.samples, out=ref.samples)
+        np.subtract(r_l.samples, y, out=y)
+    else:
+        y = r_l.samples - gain * ref.samples
     head, tail = merge_invalid(r_l, ref)
     return r_l.with_samples(y, invalid_head=head, invalid_tail=tail)
 
@@ -233,21 +252,12 @@ def perturb_taps(taps: CancellerTaps, gain_error_mag: float = 0.0,
     return CancellerTaps(taps.delay + delay_error, gain, taps.residual_power_db)
 
 
-def cancel_auto(r_l: BasebandWaveform, r_h: BasebandWaveform,
-                max_lag: float | None = None,
-                refine: str = "parabolic") -> tuple[BasebandWaveform, CancellerTaps]:
-    """End-to-end reference-aided cancellation: delay, gain, subtract.
-
-    When the reference correlates too weakly for a trustworthy delay
-    estimate (nothing to cancel, or interference far below the SOI), the
-    canceller degrades to the best available lag instead of failing: the
-    least-squares gain then shrinks toward zero and the output approaches
-    r_L.  A zero-energy reference still raises DegenerateReference.
-
-    ``refine="residual"`` polishes the delay by correlation maximization;
-    frequency-sweep training uses it to reach picosecond matching.
+def _train_delay(r_l: BasebandWaveform, r_h: BasebandWaveform,
+                 max_lag: float | None, refine: str) -> float:
+    """Delay of r_H's content inside r_L, in seconds, or 0 when the
+    normalized correlation peak falls below its noise floor, 8/sqrt(N)
+    for N valid samples (logged as a warning).
     """
-    _check_pair(r_l, r_h)
     fs = r_l.sample_rate
     if max_lag is None:
         max_lag_samples = min(1024, len(r_l) // 4 - 1)
@@ -257,19 +267,78 @@ def cancel_auto(r_l: BasebandWaveform, r_h: BasebandWaveform,
     n_used = min(r_l.valid.size, r_h.valid.size)
     noise_floor = 8.0 / np.sqrt(max(n_used, 1))
     if peak_norm < noise_floor:
-        lag = 0.0
+        _log.warning("correlation peak %.4g is below the noise floor %.4g; "
+                     "training at lag 0", peak_norm, noise_floor)
+        return 0.0
     delay = lag / fs
-    if refine == "residual" and peak_norm >= noise_floor:
+    if refine == "residual":
         delay = refine_delay_by_residual(r_l, r_h, delay)
-    # one delayed reference serves both the gain fit and the subtraction
-    ref = true_time_delay(r_h, delay)
+    return delay
+
+
+def _fit_gain(r_l: BasebandWaveform, ref: BasebandWaveform,
+              delay: float) -> tuple[BasebandWaveform, CancellerTaps]:
+    """Least-squares gain of the reference ``ref``, already delayed by
+    ``delay``, and the residual it leaves; the taps carry that residual's
+    power relative to r_L."""
     taps = CancellerTaps(delay, estimate_gain(r_l, ref))
-    out = cancel(r_l, ref, CancellerTaps(0.0, taps.gain))
+    out = subtract(r_l, ref, taps.gain)
     p_in = r_l.power()
     p_out = out.power()
     if p_in > 0 and p_out > 0:
         taps.residual_power_db = float(10 * np.log10(p_out / p_in))
     return out, taps
+
+
+def cancel_auto(r_l: BasebandWaveform, r_h: BasebandWaveform,
+                max_lag: float | None = None,
+                refine: str = "parabolic") -> tuple[BasebandWaveform, CancellerTaps]:
+    """End-to-end reference-aided cancellation: delay, gain, subtract.
+
+    When the reference correlates too weakly for a trustworthy delay
+    estimate (nothing to cancel, or interference far below the SOI), the
+    canceller degrades to lag 0 instead of failing, and logs a warning on
+    the ``rfcancel.canceller`` logger: the least-squares gain then shrinks
+    toward zero and the output approaches r_L.  A zero-energy reference
+    still raises DegenerateReference.
+
+    r_H is delayed once, at the trained delay: that one delayed reference
+    serves both the gain fit and the subtraction.
+
+    ``refine="residual"`` polishes the delay by correlation maximization;
+    frequency-sweep training uses it to reach picosecond matching.
+    """
+    _check_pair(r_l, r_h)
+    delay = _train_delay(r_l, r_h, max_lag, refine)
+    return _fit_gain(r_l, true_time_delay(r_h, delay), delay)
+
+
+def _prefix(w: BasebandWaveform, n: int, tail: int = 0) -> BasebandWaveform:
+    return BasebandWaveform(w.samples[:n], w.sample_rate, w.center_freq,
+                            w.invalid_head, tail)
+
+
+def train(r_l: BasebandWaveform, r_h: BasebandWaveform, window: int,
+          max_lag: float | None = None, refine: str = "parabolic"
+          ) -> tuple[CancellerTaps, BasebandWaveform]:
+    """Taps trained on the first ``window`` samples, and r_H delayed by
+    them over the whole record.
+
+    The delay is searched and the gain fitted as ``cancel_auto`` does, on
+    the window alone.  r_H itself is delayed once, over the full record:
+    the gain fit takes the window-length prefix of that array, with the
+    edge margins a delayed window would carry, and the caller subtracts
+    the same array (``subtract``) wherever it applies these taps.
+    """
+    _check_pair(r_l, r_h)
+    window = min(window, len(r_l))
+    train_l = _prefix(r_l, window)
+    delay = _train_delay(train_l, _prefix(r_h, window), max_lag, refine)
+    ref = true_time_delay(r_h, delay)
+    # the delay's own margin at the tail, as if the window ended the record
+    ref_window = _prefix(ref, window, ref.invalid_tail - r_h.invalid_tail)
+    _, taps = _fit_gain(train_l, ref_window, delay)
+    return taps, ref
 
 
 def _excess_kurtosis(x: np.ndarray) -> float:
@@ -400,4 +469,6 @@ __all__ = [
     "perturb_taps",
     "refine_delay_by_residual",
     "resolve_permutation",
+    "subtract",
+    "train",
 ]

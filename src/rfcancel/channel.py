@@ -233,6 +233,11 @@ class PathImages:
     n_l: np.ndarray | None
     n_h: np.ndarray | None
 
+    @property
+    def clean_reference(self) -> bool:
+        """True when r_H is the interference image alone: scale*y22."""
+        return self.y21 is None and self.n_h is None
+
     def with_soi(self, soi: BasebandWaveform,
                  scenario: MixingScenario) -> "PathImages":
         """The same interference images and noise with another SOI's images."""

@@ -125,12 +125,15 @@ def cancellation_depth(before: BasebandWaveform, after: BasebandWaveform,
                        band: tuple[float, float],
                        seg_len: int = DEFAULT_SEG_LEN,
                        overlap: float = DEFAULT_OVERLAP,
-                       per_frequency: bool = False) -> DepthReport:
+                       per_frequency: bool = False,
+                       before_psd: PsdEstimate | None = None) -> DepthReport:
     """dB reduction of band-integrated power from before to after.
 
     ``per_frequency=True`` adds the bin-wise depth curve over the band.
     Zero residual power saturates at the numeric floor and sets the
-    ``saturated`` flag.
+    ``saturated`` flag.  ``before_psd`` is ``welch_psd(before)`` when the
+    caller already has it; it stands in for that PSD when its segment
+    length is the one this call picks, and is recomputed otherwise.
     """
     if before.sample_rate != after.sample_rate:
         raise RateMismatch(
@@ -141,7 +144,9 @@ def cancellation_depth(before: BasebandWaveform, after: BasebandWaveform,
     if lo >= hi or lo < -nyq or hi > nyq:
         raise OutOfBand(f"band {band} not inside (+-{nyq:.3g} Hz)")
     seg = min(seg_len, before.valid.size, after.valid.size)
-    p_b = welch_psd(before, seg, overlap)
+    p_b = before_psd
+    if p_b is None or p_b.psd.size != seg:
+        p_b = welch_psd(before, seg, overlap)
     p_a = welch_psd(after, seg, overlap)
     pow_b = p_b.band_power(band)
     pow_a = p_a.band_power(band)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 import math
 import os
 import time
@@ -24,6 +25,7 @@ from . import metrics as met
 # mix is unused here but stays importable as runner.mix
 from .channel import (  # noqa: F401
     PathImages, apply_path, mix, path_images, path_rngs, received,
+    true_time_delay,
 )
 from .config import ScenarioConfig
 from .demod import DemodConfig, demodulate, valid_symbol_range
@@ -38,6 +40,8 @@ from .sigsynth import (
 from .waveform import (
     BasebandWaveform, _atomic_write, _write_csv, save_waveform,
 )
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -88,6 +92,41 @@ class Sources:
         """Interference amplitude that puts it isr_db above the SOI."""
         return 10 ** ((isr_db - self.base_ratio_db) / 20.0)
 
+    def depth_before(self) -> met.PsdEstimate:
+        """Welch PSD of the unit-power interference image on r_L: the
+        depth's "before" at every ISR."""
+        y12 = self.images.y12
+        return met.welch_psd(y12, min(met.DEFAULT_SEG_LEN, y12.valid.size))
+
+
+@dataclass
+class DepthPair:
+    """The isolated interference the depth is measured on.
+
+    ``image`` is its image on r_L, the depth's "before", and ``reference``
+    its image on r_H; depth is a power ratio, so the pair may be at any
+    common scale.  ``ref_scale`` is k when r_H = k * reference exactly (no
+    receiver noise and no SOI on r_H), and the residual then reuses the
+    canceller's delayed r_H.  Otherwise it is None and the reference is
+    delayed on its own, so the ground truth stays noise-free.
+    ``before_psd``, when set, is the Welch PSD of ``image``.
+    """
+
+    image: BasebandWaveform
+    reference: BasebandWaveform
+    ref_scale: float | None
+    before_psd: met.PsdEstimate | None = None
+
+    def residual(self, taps: canc.CancellerTaps,
+                 delayed_r_h: BasebandWaveform) -> BasebandWaveform:
+        """The image after the taps.  ``delayed_r_h`` is r_H delayed by
+        them; when the pair reuses it, the residual overwrites it."""
+        if self.ref_scale is None:
+            return canc.cancel(self.image, self.reference, taps)
+        # image - (g/k) * D(k * reference), in the delayed r_H's buffer
+        return canc.subtract(self.image, delayed_r_h,
+                             taps.gain / self.ref_scale, in_place=True)
+
 
 @dataclass
 class Synthesized:
@@ -102,6 +141,12 @@ class Synthesized:
     r_l: BasebandWaveform
     r_h: BasebandWaveform
     isr_db_measured: float
+    clean_reference: bool
+
+    def depth_pair(self) -> DepthPair:
+        # the images are scaled in place to r_H's own interference scale
+        return DepthPair(self.int_image, self.int_reference,
+                         1.0 if self.clean_reference else None)
 
 
 def _seed_ints(seed: int, n: int) -> list[int]:
@@ -177,25 +222,29 @@ def synthesize(cfg: ScenarioConfig) -> Synthesized:
         w.samples *= scale
     return Synthesized(src.tx_stream, src.soi, src.interference, img.y11,
                        img.y12, img.y22, r_l, r_h,
-                       src.base_ratio_db + 20 * math.log10(scale))
+                       src.base_ratio_db + 20 * math.log10(scale),
+                       img.clean_reference)
 
 
 def _train_taps(cfg: ScenarioConfig, r_l: BasebandWaveform,
-                r_h: BasebandWaveform) -> canc.CancellerTaps:
-    """Block training over the configured window, plus any taps error."""
-    window = min(cfg.canceller.training_window, len(r_l))
-    train_l = BasebandWaveform(r_l.samples[:window], r_l.sample_rate,
-                               r_l.center_freq, r_l.invalid_head, 0)
-    train_h = BasebandWaveform(r_h.samples[:window], r_h.sample_rate,
-                               r_h.center_freq, r_h.invalid_head, 0)
-    _, taps = canc.cancel_auto(train_l, train_h,
-                               max_lag=cfg.canceller.max_lag_s,
-                               refine=cfg.canceller.delay_refine)
-    err = cfg.canceller.taps_error
+                r_h: BasebandWaveform
+                ) -> tuple[canc.CancellerTaps, BasebandWaveform]:
+    """Block training over the configured window, plus any taps error.
+
+    Returns the taps and r_H delayed by them over the full record: the one
+    delayed reference that every use of these taps shares.
+    """
+    c = cfg.canceller
+    taps, delayed = canc.train(r_l, r_h, c.training_window,
+                               max_lag=c.max_lag_s, refine=c.delay_refine)
+    err = c.taps_error
     if err.active:
         taps = canc.perturb_taps(taps, err.gain_mag, err.gain_phase_deg,
                                  err.delay_s)
-    return taps
+        if err.delay_s:
+            # the delay error moves the delay line off the trained delay
+            delayed = true_time_delay(r_h, taps.delay)
+    return taps, delayed
 
 
 def _measure_evm(cfg: ScenarioConfig, estimate: BasebandWaveform,
@@ -234,25 +283,23 @@ class Measured:
 
 def _measure(cfg: ScenarioConfig, mode: str, r_l: BasebandWaveform,
              r_h: BasebandWaveform, tx_stream: SymbolStream,
-             int_image: BasebandWaveform,
-             int_reference: BasebandWaveform) -> Measured:
+             pair: DepthPair | None = None) -> Measured:
     """Separate the SOI from (r_l, r_h) in ``mode`` and measure EVM, and in
     reference mode the depth the taps reach on the isolated interference
-    pair (int_image, int_reference).
-
-    Depth is a power ratio, so the pair may be at any common interference
-    scale.
+    ``pair``.
     """
     if mode == "off":
         evm_report, rx_trim = _measure_evm(cfg, r_l, tx_stream)
         return Measured(r_l, evm_report, rx_trim)
     if mode == "reference":
-        taps = _train_taps(cfg, r_l, r_h)
-        estimate = canc.cancel(r_l, r_h, taps)
-        # demodulate before the residual exists, so their peaks do not add
+        taps, delayed = _train_taps(cfg, r_l, r_h)
+        estimate = canc.subtract(r_l, delayed, taps.gain)
         evm_report, rx_trim = _measure_evm(cfg, estimate, tx_stream)
-        residual = canc.cancel(int_image, int_reference, taps)
-        depth = met.cancellation_depth(int_image, residual, occupied_band(cfg))
+        # the estimate is formed, so the residual may take over delayed
+        residual = pair.residual(taps, delayed)
+        depth = met.cancellation_depth(pair.image, residual,
+                                       occupied_band(cfg),
+                                       before_psd=pair.before_psd)
         return Measured(estimate, evm_report, rx_trim, depth.depth_db, taps,
                         residual)
     if mode == "bss":
@@ -271,7 +318,7 @@ def run(cfg: ScenarioConfig, out_dir: str | os.PathLike | None = None) -> RunRep
     t0 = time.perf_counter()
     synth = synthesize(cfg)
     m = _measure(cfg, cfg.canceller.mode, synth.r_l, synth.r_h,
-                 synth.tx_stream, synth.int_image, synth.int_reference)
+                 synth.tx_stream, synth.depth_pair())
     taps_dict = None
     if m.taps is not None:
         taps_dict = {
@@ -359,18 +406,24 @@ def _error_cell(exc: BaseException) -> str:
 
 
 def _fill_row(row: dict, cfg: ScenarioConfig, src: Sources, isr_db: float,
-              on_mode: str | None) -> None:
+              on_mode: str | None,
+              before_psd: met.PsdEstimate | None = None) -> None:
     """Fill a sweep row's evm_off_pct and, when ``on_mode`` is set, its
-    evm_on_pct and depth_db, from the record at isr_db.
+    evm_on_pct and depth_db, from the record at isr_db.  ``before_psd`` is
+    ``src.depth_before()``, which every row of a sweep shares.
 
     The record and the estimates die with this call, so one row's arrays
     are freed before the next row allocates its own.
     """
-    r_l, r_h = received(src.images, src.scale(isr_db))
-    record = (r_l, r_h, src.tx_stream, src.images.y12, src.images.y22)
-    row["evm_off_pct"] = _measure(cfg, "off", *record).evm.evm_rms_pct
+    scale = src.scale(isr_db)
+    r_l, r_h = received(src.images, scale)
+    row["evm_off_pct"] = _measure(cfg, "off", r_l, r_h,
+                                  src.tx_stream).evm.evm_rms_pct
     if on_mode is not None:
-        on = _measure(cfg, on_mode, *record)
+        img = src.images
+        pair = DepthPair(img.y12, img.y22,
+                         scale if img.clean_reference else None, before_psd)
+        on = _measure(cfg, on_mode, r_l, r_h, src.tx_stream, pair)
         row["evm_on_pct"] = on.evm.evm_rms_pct
         row["depth_db"] = on.depth_db
 
@@ -379,12 +432,13 @@ def sweep_isr(cfg: ScenarioConfig, isr_list: list[float],
               out_dir: str | os.PathLike | None = None) -> list[dict]:
     """EVM with and without cancellation at each interference ratio.
 
-    The sources are synthesized once; each row scales the interference
-    images to its ISR, so only the interference scale varies.  Per-row
-    failures are recorded in the row and the sweep continues.
+    The sources, and the depth's "before" PSD, are computed once; each row
+    scales the interference images to its ISR, so only the interference
+    scale varies.  Per-row failures are recorded in the row and the sweep
+    continues.
     """
     on_mode = None if cfg.canceller.mode == "off" else cfg.canceller.mode
-    src = None
+    src = before = None
     rows = []
     for isr in isr_list:
         row = {"isr_db": float(isr), "evm_off_pct": math.nan,
@@ -392,7 +446,9 @@ def sweep_isr(cfg: ScenarioConfig, isr_list: list[float],
         try:
             if src is None:
                 src = synthesize_sources(cfg)
-            _fill_row(row, cfg, src, float(isr), on_mode)
+                if on_mode == "reference":
+                    before = src.depth_before()
+            _fill_row(row, cfg, src, float(isr), on_mode, before)
         except RfCancelError as exc:
             row["error"] = _error_cell(exc)
         rows.append(row)
@@ -492,11 +548,11 @@ def sweep_format(cfg: ScenarioConfig, formats: list[str],
                  out_dir: str | os.PathLike | None = None) -> list[dict]:
     """EVM with and without cancellation per modulation format.
 
-    Rows share the interference, its path images and its PSD; only the SOI
-    is regenerated per format.
+    Rows share the interference, its path images, its PSD and the depth's
+    "before" PSD; only the SOI is regenerated per format.
     """
     isr = cfg.sweep.format_isr_db
-    shared = None
+    shared = before = None
     rows = []
     for fmt in formats:
         row = {"format": fmt, "evm_on_pct": math.nan,
@@ -504,8 +560,12 @@ def sweep_format(cfg: ScenarioConfig, formats: list[str],
         try:
             row_cfg = replace(cfg, soi=replace(cfg.soi, format=fmt))
             src = synthesize_sources(row_cfg, shared)
-            shared = shared or src
-            _fill_row(row, row_cfg, src, isr, row_cfg.canceller.mode)
+            if shared is None:
+                shared = src
+                if row_cfg.canceller.mode == "reference":
+                    before = src.depth_before()
+            _fill_row(row, row_cfg, src, isr, row_cfg.canceller.mode,
+                      before)
         except RfCancelError as exc:
             row["error"] = _error_cell(exc)
         rows.append(row)
@@ -528,8 +588,8 @@ def compare_separators(cfg: ScenarioConfig,
     rows = []
 
     t0 = time.perf_counter()
-    taps = _train_taps(cfg, synth.r_l, synth.r_h)
-    ref_out = canc.cancel(synth.r_l, synth.r_h, taps)
+    taps, delayed = _train_taps(cfg, synth.r_l, synth.r_h)
+    ref_out = canc.subtract(synth.r_l, delayed, taps.gain)
     ref_ms = (time.perf_counter() - t0) * 1e3
     rows.append({
         "method": "reference",
@@ -543,8 +603,8 @@ def compare_separators(cfg: ScenarioConfig,
     })
 
     t0 = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         bss_result = canc.bss_separate(synth.r_l, synth.r_h, cfg.canceller.ica)
         try:
             bss_result = canc.resolve_permutation(bss_result, synth.r_h)
@@ -552,6 +612,8 @@ def compare_separators(cfg: ScenarioConfig,
         except RfCancelError as exc:
             bss_err = _error_cell(exc)
     bss_ms = (time.perf_counter() - t0) * 1e3
+    for w in caught:
+        _log.warning("%s: %s", w.category.__name__, w.message)
     rows.append({
         "method": "bss",
         "sir_db": met.sir_against_truth(bss_result.outputs[0],
@@ -571,6 +633,7 @@ def compare_separators(cfg: ScenarioConfig,
 
 
 __all__ = [
+    "DepthPair",
     "RunReport",
     "Sources",
     "Synthesized",

@@ -1,5 +1,7 @@
 """Tests for reference-aided cancellation and blind source separation."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy import signal as sig
@@ -254,6 +256,88 @@ class TestCancelAuto:
         assert np.array_equal(out.samples, want.samples)
         assert (out.invalid_head, out.invalid_tail) == (
             want.invalid_head, want.invalid_tail)
+
+
+    def test_lag0_fallback_logs_warning(self, caplog):
+        """A reference independent of r_L trains at lag 0 and says so."""
+        n = 1 << 16
+        caplog.set_level(logging.WARNING, logger="rfcancel.canceller")
+        _, taps = canc.cancel_auto(white_wave(n, seed=1), fm_wave(n, seed=2))
+        assert taps.delay == 0.0
+        records = [r for r in caplog.records
+                   if r.name == "rfcancel.canceller"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        floor = 8.0 / np.sqrt(n)
+        assert f"{floor:.4g}" in records[0].getMessage()
+        assert "lag 0" in records[0].getMessage()
+
+    def test_coherent_reference_logs_nothing(self, caplog):
+        src = fm_wave(1 << 15, seed=8, center_freq=2.4e9)
+        r_l = apply_path(src, PathModel(gain=1.2 * np.exp(0.5j), delay=15e-9))
+        r_h = apply_path(src, PathModel(gain=0.9, delay=5e-9))
+        caplog.set_level(logging.DEBUG, logger="rfcancel")
+        canc.cancel_auto(r_l, r_h, max_lag=50 / FS)
+        assert caplog.records == []
+
+
+class TestTrain:
+    @staticmethod
+    def _pair(n=1 << 16, d_l=15e-9, d_h=5e-9):
+        src = fm_wave(n, seed=8, center_freq=2.4e9)
+        soi = white_wave(n, seed=9, power=0.1, center_freq=2.4e9)
+        r_l = apply_path(src, PathModel(gain=1.2 * np.exp(0.5j), delay=d_l))
+        r_l = r_l.with_samples(r_l.samples + soi.samples)
+        return r_l, apply_path(src, PathModel(gain=0.9, delay=d_h))
+
+    @pytest.mark.parametrize("d_l, d_h", [(15e-9, 5e-9), (5e-9, 15.3e-9)])
+    def test_window_taps_match_delayed_window(self, d_l, d_h):
+        """Training on the prefix of the one full-length delayed r_H gives
+        the taps of cancel_auto on the window alone, bit for bit, for a
+        positive and a negative delay."""
+        r_l, r_h = self._pair(d_l=d_l, d_h=d_h)
+        window = 20000
+        head = lambda w: BasebandWaveform(w.samples[:window], w.sample_rate,
+                                          w.center_freq, w.invalid_head, 0)
+        _, want = canc.cancel_auto(head(r_l), head(r_h), max_lag=50 / FS)
+        taps, ref = canc.train(r_l, r_h, window, max_lag=50 / FS)
+        assert taps.delay == want.delay
+        assert taps.gain == want.gain
+        assert taps.residual_power_db == want.residual_power_db
+        full = canc.true_time_delay(r_h, taps.delay)
+        assert np.array_equal(ref.samples, full.samples)
+        assert (ref.invalid_head, ref.invalid_tail) == (
+            full.invalid_head, full.invalid_tail)
+
+    def test_delays_reference_once(self, monkeypatch):
+        r_l, r_h = self._pair()
+        calls = []
+        delay = canc.true_time_delay
+        monkeypatch.setattr(canc, "true_time_delay",
+                            lambda w, tau: calls.append(len(w)) or delay(w, tau))
+        canc.train(r_l, r_h, 20000, max_lag=50 / FS)
+        assert calls == [len(r_h)]
+
+    def test_window_beyond_record(self):
+        r_l, r_h = self._pair(n=1 << 14)
+        taps, ref = canc.train(r_l, r_h, 1 << 20, max_lag=50 / FS)
+        _, want = canc.cancel_auto(r_l, r_h, max_lag=50 / FS)
+        assert (taps.delay, taps.gain) == (want.delay, want.gain)
+        assert len(ref) == len(r_h)
+
+
+class TestSubtract:
+    def test_in_place_matches(self):
+        r_l = fm_wave(4096, seed=1)
+        x = white_wave(4096, seed=2).samples
+        ref = BasebandWaveform(x.copy(), FS, 0.0, 7, 3)
+        gain = 0.37 - 1.21j
+        want = r_l.samples - gain * x
+        assert np.array_equal(canc.subtract(r_l, ref, gain).samples, want)
+        got = canc.subtract(r_l, ref, gain, in_place=True)
+        assert got.samples is ref.samples
+        assert np.array_equal(got.samples, want)
+        assert (got.invalid_head, got.invalid_tail) == (7, 3)
 
 
 class TestBssSeparate:

@@ -3,19 +3,23 @@
 import copy
 import csv
 import json
+import logging
 import math
 import os
 import stat
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from rfcancel import canceller as canc
+from rfcancel import channel
 from rfcancel import metrics as met
 from rfcancel import runner
-from rfcancel.channel import apply_path
-from rfcancel.config import from_tree
+from rfcancel.channel import apply_path, received
+from rfcancel.config import from_tree, load_config
 from rfcancel.errors import RfCancelError
 from rfcancel.sigsynth import random_symbols
 
@@ -43,6 +47,9 @@ outputs:
   directory: out
   csv: [report, constellation, psd, depth_curve, waveforms]
 """)
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture
@@ -149,6 +156,28 @@ class TestRun:
             assert key in rep
 
 
+    def test_depth_residual_is_two_delay_form(self):
+        """The residual formed in the delayed r_H's buffer is, bit for bit,
+        the ground-truth pair cancelled on its own."""
+        cfg = load_config(CONFIG_DIR / "default.yaml")
+        synth = runner.synthesize(cfg)
+        m = runner._measure(cfg, "reference", synth.r_l, synth.r_h,
+                            synth.tx_stream, synth.depth_pair())
+        want = canc.cancel(synth.int_image, synth.int_reference, m.taps)
+        assert np.array_equal(m.residual.samples, want.samples)
+        assert (m.residual.invalid_head, m.residual.invalid_tail) == (
+            want.invalid_head, want.invalid_tail)
+        assert np.array_equal(m.estimate.samples,
+                              canc.cancel(synth.r_l, synth.r_h,
+                                          m.taps).samples)
+
+    def test_default_config_logs_no_warning(self, caplog):
+        caplog.set_level(logging.WARNING, logger="rfcancel")
+        runner.run(load_config(CONFIG_DIR / "default.yaml"))
+        assert [r for r in caplog.records
+                if r.name.startswith("rfcancel")] == []
+
+
 class TestGroundTruth:
     NOISE_PSD = 1e-10
 
@@ -218,6 +247,42 @@ class TestSweepIsr:
         rows = runner.sweep_isr(cfg, [-10.0, 0.0, 18.0])
         assert all(row["error"] == "" for row in rows)
         assert calls == {"generate_fm_interference": 1, "generate_soi": 1}
+
+    def test_one_reference_delay_per_row(self, monkeypatch):
+        """Training, estimate and depth share one delayed r_H per row: the
+        three path images of the synthesis, then one delay per row."""
+        cfg = load_config(CONFIG_DIR / "evm_vs_isr.yaml")
+        calls = []
+        delay = channel.fractional_delay
+
+        def counted(w, tau, *args, **kwargs):
+            calls.append(tau)
+            return delay(w, tau, *args, **kwargs)
+
+        monkeypatch.setattr(channel, "fractional_delay", counted)
+        monkeypatch.setattr(canc, "fractional_delay", counted)
+        rows = runner.sweep_isr(cfg, [-15.0, 0.0, 15.0])
+        assert all(row["error"] == "" for row in rows)
+        assert len(calls) == 3 + len(rows)
+
+    def test_noisy_reference_depth_is_noise_free(self, cfg):
+        """With receiver noise on r_H the depth is still measured on the
+        noise-free pair: each row equals the two-delay form."""
+        tree = copy.deepcopy(BASE_TREE)
+        tree["channel"]["paths"]["a22"]["noise_psd"] = 1e-10
+        noisy = from_tree(tree)
+        isrs = [-10.0, 0.0, 18.0]
+        rows = runner.sweep_isr(noisy, isrs)
+        src = runner.synthesize_sources(noisy)
+        assert src.images.n_h is not None
+        y12, y22 = src.images.y12, src.images.y22
+        for isr, row in zip(isrs, rows):
+            r_l, r_h = received(src.images, src.scale(isr))
+            taps, _ = runner._train_taps(noisy, r_l, r_h)
+            want = met.cancellation_depth(y12, canc.cancel(y12, y22, taps),
+                                          runner.occupied_band(noisy))
+            assert row["error"] == ""
+            assert row["depth_db"] == pytest.approx(want.depth_db, rel=1e-12)
 
     def test_table_written(self, cfg, tmp_path):
         runner.sweep_isr(cfg, [0.0, 9.0], tmp_path)
@@ -322,3 +387,17 @@ class TestCompareSeparators:
         assert bss["free_parameters"] == 4
         assert ref["sir_db"] > 20
         assert bss["sir_db"] > 20
+
+    def test_bss_warnings_logged(self, caplog, tmp_path):
+        """Warnings of the blind separator reach the rfcancel logger; the
+        table is written as before."""
+        tree = copy.deepcopy(BASE_TREE)
+        tree["canceller"]["ica"] = {"max_iter": 1}
+        caplog.set_level(logging.WARNING, logger="rfcancel")
+        rows = runner.compare_separators(from_tree(tree), tmp_path)
+        bss = next(r for r in rows if r["method"] == "bss")
+        assert bss["converged"] is False
+        logged = [r.getMessage() for r in caplog.records
+                  if r.name.startswith("rfcancel")]
+        assert any(m.startswith("NotConvergedWarning: ") for m in logged)
+        assert (tmp_path / "compare_bss.csv").exists()
