@@ -16,7 +16,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -58,17 +58,8 @@ class RunReport:
     seed: int
 
     def to_json(self) -> str:
-        payload = {
-            "mode": self.mode,
-            "evm_pct": self.evm_pct,
-            "depth_db": self.depth_db,
-            "isr_db_measured": self.isr_db_measured,
-            "taps": self.taps,
-            "demix": self.demix,
-            "runtime_ms": self.runtime_ms,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True,
+                          allow_nan=True)
 
 
 @dataclass
@@ -237,14 +228,21 @@ def _train_taps(cfg: ScenarioConfig, r_l: BasebandWaveform,
     c = cfg.canceller
     taps, delayed = canc.train(r_l, r_h, c.training_window,
                                max_lag=c.max_lag_s, refine=c.delay_refine)
-    err = c.taps_error
-    if err.active:
-        taps = canc.perturb_taps(taps, err.gain_mag, err.gain_phase_deg,
-                                 err.delay_s)
-        if err.delay_s:
-            # the delay error moves the delay line off the trained delay
-            delayed = true_time_delay(r_h, taps.delay)
+    taps = _taps_error(cfg, taps)
+    if c.taps_error.delay_s:
+        # the delay error moves the delay line off the trained delay
+        delayed = true_time_delay(r_h, taps.delay)
     return taps, delayed
+
+
+def _taps_error(cfg: ScenarioConfig,
+                taps: canc.CancellerTaps) -> canc.CancellerTaps:
+    """``taps`` with the configured matching error applied."""
+    err = cfg.canceller.taps_error
+    if not err.active:
+        return taps
+    return canc.perturb_taps(taps, err.gain_mag, err.gain_phase_deg,
+                             err.delay_s)
 
 
 def _measure_evm(cfg: ScenarioConfig, estimate: BasebandWaveform,
@@ -275,10 +273,14 @@ class Measured:
     estimate: BasebandWaveform
     evm: met.EvmReport
     rx_trim: SymbolStream
-    depth_db: float = math.nan
+    depth: met.DepthReport | None = None       # with its per-bin curve
     taps: canc.CancellerTaps | None = None
     residual: BasebandWaveform | None = None   # interference after the taps
     demix: list | None = None
+
+    @property
+    def depth_db(self) -> float:
+        return math.nan if self.depth is None else self.depth.depth_db
 
 
 def _measure(cfg: ScenarioConfig, mode: str, r_l: BasebandWaveform,
@@ -298,10 +300,9 @@ def _measure(cfg: ScenarioConfig, mode: str, r_l: BasebandWaveform,
         # the estimate is formed, so the residual may take over delayed
         residual = pair.residual(taps, delayed)
         depth = met.cancellation_depth(pair.image, residual,
-                                       occupied_band(cfg),
+                                       occupied_band(cfg), per_frequency=True,
                                        before_psd=pair.before_psd)
-        return Measured(estimate, evm_report, rx_trim, depth.depth_db, taps,
-                        residual)
+        return Measured(estimate, evm_report, rx_trim, depth, taps, residual)
     if mode == "bss":
         result = canc.bss_separate(r_l, r_h, cfg.canceller.ica)
         result = canc.resolve_permutation(result, r_h)
@@ -367,10 +368,8 @@ def _write_artifacts(cfg: ScenarioConfig, synth: Synthesized, m: Measured,
         met.export_psd_csv(met.welch_psd(synth.r_l, seg), path("psd_mixed.csv"))
         met.export_psd_csv(met.welch_psd(m.estimate, seg),
                            path("psd_output.csv"))
-    if "depth_curve" in kinds and m.residual is not None:
-        depth = met.cancellation_depth(synth.int_image, m.residual,
-                                       occupied_band(cfg), per_frequency=True)
-        met.export_depth_csv(depth, path("depth_curve.csv"))
+    if "depth_curve" in kinds and m.depth is not None:
+        met.export_depth_csv(m.depth, path("depth_curve.csv"))
     if "waveforms" in kinds:
         save_waveform(synth.r_l, path("r_l.rcwv"))
         save_waveform(synth.r_h, path("r_h.rcwv"))
@@ -386,23 +385,34 @@ def _write_artifacts(cfg: ScenarioConfig, synth: Synthesized, m: Measured,
                               path(f"{name}.rcwv"))
 
 
-def _write_table(rows: list[dict], header: list[str],
-                 path: str | os.PathLike) -> None:
-    def fmt(v):
-        if isinstance(v, float):
-            return f"{v:.10e}"
-        return str(v)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([fmt(row.get(h, "")) for h in header] for row in rows)
-    _atomic_write(path, buf.getvalue().encode())
-
-
-def _error_cell(exc: BaseException) -> str:
-    """What a sweep row records of the failure that ended it."""
-    return f"{type(exc).__name__}: {exc}"
+def _sweep(columns: list[str], values: list, fill, out_dir,
+           table: str) -> list[dict]:
+    """One row per axis value: ``columns[0]`` holds the value, every other
+    column starts as nan and ``error`` as "", and ``fill(row, value)`` sets
+    what it measures.  A failure ends only its own row: the cells filled
+    before it stay and ``error`` records ``Type: message``.  With
+    ``out_dir`` set the rows are written there as the CSV ``table``, floats
+    as ``%.10e``.
+    """
+    header = [*columns, "error"]
+    rows = []
+    for value in values:
+        row = {columns[0]: value, **dict.fromkeys(columns[1:], math.nan),
+               "error": ""}
+        try:
+            fill(row, value)
+        except RfCancelError as exc:
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([f"{row[h]:.10e}" if isinstance(row[h], float)
+                          else str(row[h]) for h in header] for row in rows)
+        _atomic_write(os.path.join(out_dir, table), buf.getvalue().encode())
+    return rows
 
 
 def _fill_row(row: dict, cfg: ScenarioConfig, src: Sources, isr_db: float,
@@ -432,38 +442,24 @@ def sweep_isr(cfg: ScenarioConfig, isr_list: list[float],
               out_dir: str | os.PathLike | None = None) -> list[dict]:
     """EVM with and without cancellation at each interference ratio.
 
-    The sources, and the depth's "before" PSD, are computed once; each row
-    scales the interference images to its ISR, so only the interference
-    scale varies.  Per-row failures are recorded in the row and the sweep
-    continues.
+    The sources, and the depth's "before" PSD, are computed once, on the
+    first row that gets that far; each row scales the interference images
+    to its ISR, so only the interference scale varies.
     """
     on_mode = None if cfg.canceller.mode == "off" else cfg.canceller.mode
     src = before = None
-    rows = []
-    for isr in isr_list:
-        row = {"isr_db": float(isr), "evm_off_pct": math.nan,
-               "evm_on_pct": math.nan, "depth_db": math.nan, "error": ""}
-        try:
-            if src is None:
-                src = synthesize_sources(cfg)
-                if on_mode == "reference":
-                    before = src.depth_before()
-            _fill_row(row, cfg, src, float(isr), on_mode, before)
-        except RfCancelError as exc:
-            row["error"] = _error_cell(exc)
-        rows.append(row)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_table(rows, ["isr_db", "evm_off_pct", "evm_on_pct",
-                            "depth_db", "error"],
-                     os.path.join(out_dir, "sweep_isr.csv"))
-    return rows
 
+    def fill(row, isr):
+        nonlocal src, before
+        if src is None:
+            src = synthesize_sources(cfg)
+            if on_mode == "reference":
+                before = src.depth_before()
+        _fill_row(row, cfg, src, isr, on_mode, before)
 
-def _tone_probe(carrier_hz: float, offset_hz: float, n: int,
-                fs: float) -> BasebandWaveform:
-    t = np.arange(n) / fs
-    return BasebandWaveform(np.exp(2j * np.pi * offset_hz * t), fs, carrier_hz)
+    return _sweep(["isr_db", "evm_off_pct", "evm_on_pct", "depth_db"],
+                  [float(isr) for isr in isr_list], fill, out_dir,
+                  "sweep_isr.csv")
 
 
 def depth_oracle_db(cfg: ScenarioConfig, taps: canc.CancellerTaps,
@@ -504,11 +500,7 @@ def train_sweep_taps(cfg: ScenarioConfig) -> canc.CancellerTaps:
     r_h = apply_path(probe, scenario.a22, rngs[3])
     _, taps = canc.cancel_auto(r_l, r_h, max_lag=cfg.canceller.max_lag_s,
                                refine=cfg.canceller.delay_refine)
-    err = cfg.canceller.taps_error
-    if err.active:
-        taps = canc.perturb_taps(taps, err.gain_mag, err.gain_phase_deg,
-                                 err.delay_s)
-    return taps
+    return _taps_error(cfg, taps)
 
 
 def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],
@@ -519,29 +511,24 @@ def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],
     offset = cfg.sweep.probe_offset_hz
     n = cfg.sweep.probe_samples
     scenario = cfg.channel.to_scenario(0)
-    rows = []
-    for carrier in carriers:
-        row = {"carrier_hz": float(carrier), "depth_db": math.nan,
-               "oracle_db": math.nan, "error": ""}
-        try:
-            tone = _tone_probe(carrier, offset, n, fs)
-            rngs = path_rngs(scenario)
-            before = apply_path(tone, scenario.a12, rngs[1])
-            reference = apply_path(tone, scenario.a22, rngs[3])
-            after = canc.cancel(before, reference, taps)
-            band = (offset - 5e6, offset + 5e6)
-            seg = min(met.DEFAULT_SEG_LEN, n // 4)
-            row["depth_db"] = met.cancellation_depth(
-                before, after, band, seg_len=seg).depth_db
-            row["oracle_db"] = depth_oracle_db(cfg, taps, carrier + offset)
-        except RfCancelError as exc:
-            row["error"] = _error_cell(exc)
-        rows.append(row)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_table(rows, ["carrier_hz", "depth_db", "oracle_db", "error"],
-                     os.path.join(out_dir, "sweep_freq.csv"))
-    return rows
+    band = (offset - 5e6, offset + 5e6)
+    seg = min(met.DEFAULT_SEG_LEN, n // 4)
+    # the probe's envelope is the same at every carrier
+    envelope = np.exp(2j * np.pi * offset * (np.arange(n) / fs))
+
+    def fill(row, carrier):
+        tone = BasebandWaveform(envelope, fs, carrier)
+        rngs = path_rngs(scenario)
+        before = apply_path(tone, scenario.a12, rngs[1])
+        reference = apply_path(tone, scenario.a22, rngs[3])
+        after = canc.cancel(before, reference, taps)
+        row["depth_db"] = met.cancellation_depth(
+            before, after, band, seg_len=seg).depth_db
+        row["oracle_db"] = depth_oracle_db(cfg, taps, carrier + offset)
+
+    return _sweep(["carrier_hz", "depth_db", "oracle_db"],
+                  [float(c) for c in carriers], fill, out_dir,
+                  "sweep_freq.csv")
 
 
 def sweep_format(cfg: ScenarioConfig, formats: list[str],
@@ -549,32 +536,24 @@ def sweep_format(cfg: ScenarioConfig, formats: list[str],
     """EVM with and without cancellation per modulation format.
 
     Rows share the interference, its path images, its PSD and the depth's
-    "before" PSD; only the SOI is regenerated per format.
+    "before" PSD of the first row that synthesizes; only the SOI is
+    regenerated per format.
     """
     isr = cfg.sweep.format_isr_db
     shared = before = None
-    rows = []
-    for fmt in formats:
-        row = {"format": fmt, "evm_on_pct": math.nan,
-               "evm_off_pct": math.nan, "depth_db": math.nan, "error": ""}
-        try:
-            row_cfg = replace(cfg, soi=replace(cfg.soi, format=fmt))
-            src = synthesize_sources(row_cfg, shared)
-            if shared is None:
-                shared = src
-                if row_cfg.canceller.mode == "reference":
-                    before = src.depth_before()
-            _fill_row(row, row_cfg, src, isr, row_cfg.canceller.mode,
-                      before)
-        except RfCancelError as exc:
-            row["error"] = _error_cell(exc)
-        rows.append(row)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_table(rows, ["format", "evm_on_pct", "evm_off_pct",
-                            "depth_db", "error"],
-                     os.path.join(out_dir, "sweep_format.csv"))
-    return rows
+
+    def fill(row, fmt):
+        nonlocal shared, before
+        row_cfg = replace(cfg, soi=replace(cfg.soi, format=fmt))
+        src = synthesize_sources(row_cfg, shared)
+        if shared is None:
+            shared = src
+            if cfg.canceller.mode == "reference":
+                before = src.depth_before()
+        _fill_row(row, row_cfg, src, isr, cfg.canceller.mode, before)
+
+    return _sweep(["format", "evm_on_pct", "evm_off_pct", "depth_db"],
+                  formats, fill, out_dir, "sweep_format.csv")
 
 
 def compare_separators(cfg: ScenarioConfig,
@@ -582,54 +561,35 @@ def compare_separators(cfg: ScenarioConfig,
     """Reference-aided vs blind separation on the same mixed records.
 
     Reports ground-truth SIR, wall-clock, iteration count and the number of
-    free parameters each method had to estimate.
+    free parameters each method had to estimate.  ``runtime_ms`` spans
+    training and subtraction, or blind separation and labelling.
     """
     synth = synthesize(cfg)
-    rows = []
 
-    t0 = time.perf_counter()
-    taps, delayed = _train_taps(cfg, synth.r_l, synth.r_h)
-    ref_out = canc.subtract(synth.r_l, delayed, taps.gain)
-    ref_ms = (time.perf_counter() - t0) * 1e3
-    rows.append({
-        "method": "reference",
-        "sir_db": met.sir_against_truth(ref_out, synth.soi_image,
-                                        synth.int_image),
-        "runtime_ms": ref_ms,
-        "iterations": 1,
-        "free_parameters": 2,
-        "converged": True,
-        "error": "",
-    })
+    def fill(row, method):
+        t0 = time.perf_counter()
+        if method == "reference":
+            taps, delayed = _train_taps(cfg, synth.r_l, synth.r_h)
+            out = canc.subtract(synth.r_l, delayed, taps.gain)
+            row.update(iterations=1, free_parameters=2, converged=True)
+        else:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = canc.bss_separate(synth.r_l, synth.r_h,
+                                           cfg.canceller.ica)
+            for w in caught:
+                _log.warning("%s: %s", w.category.__name__, w.message)
+            row.update(iterations=result.iterations,
+                       free_parameters=result.free_parameters,
+                       converged=result.converged)
+            out = canc.resolve_permutation(result, synth.r_h).outputs[0]
+        row["runtime_ms"] = (time.perf_counter() - t0) * 1e3
+        row["sir_db"] = met.sir_against_truth(out, synth.soi_image,
+                                              synth.int_image)
 
-    t0 = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        bss_result = canc.bss_separate(synth.r_l, synth.r_h, cfg.canceller.ica)
-        try:
-            bss_result = canc.resolve_permutation(bss_result, synth.r_h)
-            bss_err = ""
-        except RfCancelError as exc:
-            bss_err = _error_cell(exc)
-    bss_ms = (time.perf_counter() - t0) * 1e3
-    for w in caught:
-        _log.warning("%s: %s", w.category.__name__, w.message)
-    rows.append({
-        "method": "bss",
-        "sir_db": met.sir_against_truth(bss_result.outputs[0],
-                                        synth.soi_image, synth.int_image),
-        "runtime_ms": bss_ms,
-        "iterations": bss_result.iterations,
-        "free_parameters": bss_result.free_parameters,
-        "converged": bss_result.converged,
-        "error": bss_err,
-    })
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_table(rows, ["method", "sir_db", "runtime_ms", "iterations",
-                            "free_parameters", "converged", "error"],
-                     os.path.join(out_dir, "compare_bss.csv"))
-    return rows
+    return _sweep(["method", "sir_db", "runtime_ms", "iterations",
+                   "free_parameters", "converged"],
+                  ["reference", "bss"], fill, out_dir, "compare_bss.csv")
 
 
 __all__ = [

@@ -20,7 +20,9 @@ from rfcancel import metrics as met
 from rfcancel import runner
 from rfcancel.channel import apply_path, received
 from rfcancel.config import from_tree, load_config
-from rfcancel.errors import RfCancelError
+from rfcancel.errors import (
+    AmbiguousLabeling, DegenerateReference, RfCancelError,
+)
 from rfcancel.sigsynth import random_symbols
 
 BASE_TREE = yaml.safe_load("""
@@ -170,6 +172,27 @@ class TestRun:
         assert np.array_equal(m.estimate.samples,
                               canc.cancel(synth.r_l, synth.r_h,
                                           m.taps).samples)
+
+    def test_depth_curve_is_the_measured_depth(self, cfg, tmp_path,
+                                               monkeypatch):
+        """depth_curve.csv exports the depth report the run measured, so a
+        run with every artifact kind computes eight Welch PSDs: two in
+        synthesis, two for the depth and four for the PSD artifacts."""
+        synth = runner.synthesize(cfg)
+        taps, _ = runner._train_taps(cfg, synth.r_l, synth.r_h)
+        residual = canc.cancel(synth.int_image, synth.int_reference, taps)
+        want = met.cancellation_depth(synth.int_image, residual,
+                                      runner.occupied_band(cfg),
+                                      per_frequency=True)
+        met.export_depth_csv(want, tmp_path / "want.csv")
+        calls = []
+        welch = met.welch_psd
+        monkeypatch.setattr(met, "welch_psd",
+                            lambda *a, **k: calls.append(1) or welch(*a, **k))
+        runner.run(cfg, tmp_path / "run")
+        assert ((tmp_path / "run" / "depth_curve.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+        assert len(calls) == 8
 
     def test_default_config_logs_no_warning(self, caplog):
         caplog.set_level(logging.WARNING, logger="rfcancel")
@@ -372,15 +395,21 @@ class TestSweepFormat:
         assert rows[0]["evm_on_pct"] == pytest.approx(rep.evm_pct, rel=1e-9)
 
 
+@pytest.fixture
+def bss_cfg():
+    """A scenario both separators handle: flat paths, 9 dB ISR."""
+    tree = copy.deepcopy(BASE_TREE)
+    tree["channel"]["paths"]["a12"]["delay_s"] = 0.0
+    tree["channel"]["paths"]["a22"]["delay_s"] = 0.0
+    tree["interference"]["isr_db"] = 9.0
+    tree["canceller"]["taps_error"] = {}
+    tree["sim"]["n_symbols"] = 4096
+    return from_tree(tree)
+
+
 class TestCompareSeparators:
-    def test_structure(self):
-        tree = copy.deepcopy(BASE_TREE)
-        tree["channel"]["paths"]["a12"]["delay_s"] = 0.0
-        tree["channel"]["paths"]["a22"]["delay_s"] = 0.0
-        tree["interference"]["isr_db"] = 9.0
-        tree["canceller"]["taps_error"] = {}
-        tree["sim"]["n_symbols"] = 4096
-        rows = runner.compare_separators(from_tree(tree))
+    def test_structure(self, bss_cfg):
+        rows = runner.compare_separators(bss_cfg)
         ref = next(r for r in rows if r["method"] == "reference")
         bss = next(r for r in rows if r["method"] == "bss")
         assert ref["free_parameters"] == 2
@@ -401,3 +430,65 @@ class TestCompareSeparators:
                   if r.name.startswith("rfcancel")]
         assert any(m.startswith("NotConvergedWarning: ") for m in logged)
         assert (tmp_path / "compare_bss.csv").exists()
+
+    def test_reference_failure_is_its_row(self, bss_cfg, monkeypatch):
+        """A failed reference training ends the reference row only; the
+        blind separator is still measured."""
+        def degenerate(*args, **kwargs):
+            raise DegenerateReference("reference has zero energy")
+
+        monkeypatch.setattr(runner, "_train_taps", degenerate)
+        ref, bss = runner.compare_separators(bss_cfg)
+        assert ref["method"] == "reference"
+        assert ref["error"] == "DegenerateReference: reference has zero energy"
+        assert math.isnan(ref["sir_db"])
+        assert bss["error"] == ""
+        assert bss["sir_db"] > 20
+
+    def test_ambiguous_labels_leave_sir_unset(self, bss_cfg, monkeypatch):
+        """Without labels there is no SOI output to measure: the BSS row
+        keeps the separator's fit and reports no SIR."""
+        def ambiguous(*args, **kwargs):
+            raise AmbiguousLabeling("outputs correlate equally")
+
+        monkeypatch.setattr(canc, "resolve_permutation", ambiguous)
+        ref, bss = runner.compare_separators(bss_cfg)
+        assert ref["error"] == ""
+        assert bss["error"] == "AmbiguousLabeling: outputs correlate equally"
+        assert math.isnan(bss["sir_db"])
+        assert bss["iterations"] >= 1
+        assert bss["free_parameters"] == 4
+        assert isinstance(bss["converged"], bool)
+
+
+SWEEPS = {
+    "sweep_isr.csv": (runner.sweep_isr, [0.0]),
+    "sweep_format.csv": (runner.sweep_format, ["qpsk"]),
+    "sweep_freq.csv": (runner.sweep_frequency, [2.4e9]),
+}
+
+
+def _run_sweep(table, cfg, out, values=None):
+    if table == "compare_bss.csv":
+        return runner.compare_separators(cfg, out)
+    sweep, default = SWEEPS[table]
+    return sweep(cfg, default if values is None else values, out)
+
+
+@pytest.mark.parametrize("table", [*SWEEPS, "compare_bss.csv"])
+def test_table_header_is_row_keys(cfg, tmp_path, table):
+    """Every sweep writes its rows' keys, in order, as the table header."""
+    rows = _run_sweep(table, cfg, tmp_path)
+    with open(tmp_path / table, newline="") as fh:
+        header = next(csv.reader(fh))
+    assert header == list(rows[0])
+
+
+@pytest.mark.parametrize("table, header", [
+    ("sweep_isr.csv", "isr_db,evm_off_pct,evm_on_pct,depth_db,error"),
+    ("sweep_format.csv", "format,evm_on_pct,evm_off_pct,depth_db,error"),
+    ("sweep_freq.csv", "carrier_hz,depth_db,oracle_db,error"),
+])
+def test_empty_sweep_writes_header_only(cfg, tmp_path, table, header):
+    assert _run_sweep(table, cfg, tmp_path, []) == []
+    assert (tmp_path / table).read_text() == header + "\n"
