@@ -55,8 +55,15 @@ class ModulatorResponse:
         n = self.order
         poles = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2) / (2 * n))
         a = np.poly(poles).real
-        h = 1 / np.polyval(a, 1j * (np.abs(f) / self.f3db))
-        return np.where(f < 0, np.conj(h), h)
+        s = 1j * (np.abs(f) / self.f3db)
+        # Horner's rule, the arithmetic of np.polyval, updating h in place:
+        # no temporary per coefficient, only the grid s and h are allocated
+        h = np.full(f.shape, a[0], dtype=np.complex128)
+        for c in a[1:]:
+            h *= s
+            h += c
+        np.divide(1, h, out=h)
+        return np.conjugate(h, out=h, where=f < 0)
 
 
 @dataclass
@@ -167,11 +174,18 @@ def true_time_delay(w: BasebandWaveform, tau: float) -> BasebandWaveform:
 
 
 def _apply_response(w: BasebandWaveform, response: ModulatorResponse) -> np.ndarray:
+    """``w``'s samples through the response, filtered in their own buffer:
+    ``w`` is the caller's fresh delay-line output, which nothing else reads."""
+    x = w.samples
     if response.kind == "flat":
-        return w.samples
-    freqs = np.fft.fftfreq(w.samples.size, d=1.0 / w.sample_rate)
-    h = response.eval(w.center_freq + freqs)
-    return np.fft.ifft(np.fft.fft(w.samples) * h)
+        return x
+    freqs = np.fft.fftfreq(x.size, d=1.0 / w.sample_rate)
+    freqs += w.center_freq
+    h = response.eval(freqs)
+    del freqs  # not needed by the transforms: free it before they run
+    np.fft.fft(x, out=x)
+    x *= h
+    return np.fft.ifft(x, out=x)
 
 
 def _image(w: BasebandWaveform, p: PathModel) -> BasebandWaveform:
@@ -184,6 +198,8 @@ def _image(w: BasebandWaveform, p: PathModel) -> BasebandWaveform:
         return w.with_samples(np.zeros_like(w.samples))
     out = fractional_delay(w, p.delay)
     carrier_phase = np.exp(-2j * np.pi * w.center_freq * p.delay)
+    # the gain forms a new array: applied in place, it read a higher peak
+    # RSS on flat paths (heap layout), though it allocates one array less
     return out.with_samples(_apply_response(out, p.response)
                             * (p.gain * carrier_phase))
 
@@ -305,14 +321,20 @@ def _receive(like: BasebandWaveform, image: BasebandWaveform, scale: float,
     return like.with_samples(samples, invalid_head=head, invalid_tail=tail)
 
 
+def _receive_l(images: PathImages, scale: float = 1.0) -> BasebandWaveform:
+    """r_L = y11 + scale*y12 + n_L, with the SOI image's metadata."""
+    return _receive(images.y11, images.y12, scale, images.y11, images.n_l)
+
+
+def _receive_h(images: PathImages, scale: float = 1.0) -> BasebandWaveform:
+    """r_H = y21 + scale*y22 + n_H, with the interference image's metadata."""
+    return _receive(images.y22, images.y22, scale, images.y21, images.n_h)
+
+
 def received(images: PathImages,
              scale: float = 1.0) -> tuple[BasebandWaveform, BasebandWaveform]:
-    """r_L and r_H with the interference amplitude multiplied by ``scale``.
-
-    r_L carries the SOI image's metadata and r_H the interference image's.
-    """
-    return (_receive(images.y11, images.y12, scale, images.y11, images.n_l),
-            _receive(images.y22, images.y22, scale, images.y21, images.n_h))
+    """r_L and r_H with the interference amplitude multiplied by ``scale``."""
+    return _receive_l(images, scale), _receive_h(images, scale)
 
 
 def mix(soi: BasebandWaveform, interference: BasebandWaveform,

@@ -3,7 +3,8 @@ decimation.
 
 The simulator passes ground-truth timing, so no blind synchronization is
 attempted; the canceller is the quantity under test, not the sync loops.
-The matched filter is evaluated only at the symbol instants.
+The matched filter is evaluated only at the symbol instants, in polyphase
+form.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import fractional_delay
 from .errors import RfCancelError, TooShort
@@ -62,22 +62,43 @@ def demodulate(w: BasebandWaveform, cfg: DemodConfig) -> SymbolStream:
     if frac > 1e-9:
         x = fractional_delay(w, -frac / w.sample_rate).samples
     offset = int(np.floor(cfg.timing_offset))
-    h = rrc_taps(cfg.sps, cfg.rolloff, cfg.span_symbols)
-    # sample k of the full convolution is the reversed taps dotted with
-    # x[k - h.size + 1 ... k]; only the symbol instants k = idx are formed
-    start = cfg.span_symbols * cfg.sps + offset
-    idx = start + cfg.sps * np.arange(n_out)
-    idx = idx[idx < x.size + h.size - 1]
-    tail = max(idx[-1] + 1 - x.size, 0) if idx.size else 0
-    if tail:
-        x = np.concatenate([x, np.zeros(tail, x.dtype)])
-    # complex samples as (re, im) float pairs, so the product stays real
-    pairs = np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
-    windows = sliding_window_view(pairs, h.size, axis=0)
-    symbols = (windows[start - h.size + 1::cfg.sps][:idx.size] @ h[::-1]
-               ).view(np.complex128).ravel()
+    sps = cfg.sps
+    h = rrc_taps(sps, cfg.rolloff, cfg.span_symbols)
+    # symbol j is sample span*sps + offset + j*sps of the full convolution:
+    # the reversed taps dotted with x[offset + j*sps ...], formed while that
+    # first sample lies inside the record
+    x = x[offset:]
+    n = min(n_out, -(-x.size // sps))
+    # polyphase: taps row k weights samples k*sps ... k*sps + sps - 1 of
+    # each window, so symbol j sums row j + k of x times taps row k
+    k_taps = -(-h.size // sps)
+    taps = np.zeros(k_taps * sps)
+    taps[: h.size] = h[::-1]
+    taps = taps.reshape(k_taps, sps)
+    # the symbols whose windows lie inside x read it in place; the last few
+    # read a zero-padded copy of the record's end
+    inside = min(n, max(x.size // sps - k_taps + 1, 0))
+    symbols = _polyphase(x, taps, inside)
+    if inside < n:
+        symbols = np.concatenate(
+            [symbols, _polyphase(x[inside * sps:], taps, n - inside)])
     rate = cfg.symbol_rate or w.sample_rate / cfg.sps
     return SymbolStream(symbols, cfg.format, rate)
+
+
+def _polyphase(x: np.ndarray, taps: np.ndarray, n: int) -> np.ndarray:
+    """Sum over k of rows[k:k+n] @ taps[k], where the rows are x cut into
+    rows of taps.shape[1] samples and zero-padded to the n + k_taps - 1 rows
+    it spans.  Each product is one contiguous matrix-vector call."""
+    k_taps, sps = taps.shape
+    size = (n + k_taps - 1) * sps
+    if x.size < size:
+        x = np.concatenate([x, np.zeros(size - x.size, x.dtype)])
+    rows = x[:size].reshape(-1, sps)
+    out = rows[:n] @ taps[0]
+    for k in range(1, k_taps):
+        out += rows[k: k + n] @ taps[k]
+    return out
 
 
 def valid_symbol_range(w: BasebandWaveform, cfg: DemodConfig) -> tuple[int, int]:

@@ -96,10 +96,19 @@ def welch_psd(w: BasebandWaveform, seg_len: int = DEFAULT_SEG_LEN,
     frames = sliding_window_view(x, seg_len)[::hop]
     n_seg = frames.shape[0]
     acc = np.zeros(seg_len)
-    # 32 frames per FFT call: few calls, temporaries bounded at any length
+    # 32 frames per FFT call, through one spectrum and one magnitude buffer
+    # that every batch reuses: no temporaries at any record length
+    batch = min(32, n_seg)
+    spectra = np.empty((batch, seg_len), dtype=np.complex128)
+    power = np.empty((batch, seg_len))
     for k in range(0, n_seg, 32):
-        spectra = np.fft.fft(frames[k: k + 32] * window, axis=1)
-        acc += np.sum(np.abs(spectra) ** 2, axis=0)
+        m = min(32, n_seg - k)
+        s, p = spectra[:m], power[:m]
+        np.multiply(frames[k: k + m], window, out=s)
+        np.fft.fft(s, axis=1, out=s)
+        np.abs(s, out=p)
+        p *= p
+        acc += np.sum(p, axis=0)
     # density scaling: |X|^2 / (fs * sum(window^2)), averaged over segments
     psd = np.fft.fftshift(acc / (n_seg * w.sample_rate * win_power))
     freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, d=1.0 / w.sample_rate))

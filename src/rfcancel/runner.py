@@ -24,8 +24,8 @@ from . import canceller as canc
 from . import metrics as met
 # mix is unused here but stays importable as runner.mix
 from .channel import (  # noqa: F401
-    PathImages, apply_path, mix, path_images, path_rngs, received,
-    true_time_delay,
+    PathImages, _receive_h, _receive_l, apply_path, mix, path_images,
+    path_rngs, received, true_time_delay,
 )
 from .config import ScenarioConfig
 from .demod import DemodConfig, demodulate, valid_symbol_range
@@ -69,12 +69,12 @@ class Sources:
     The interference has unit power, and ``images`` holds both sources'
     noise-free path images and the receiver noise.  The channel is linear in
     the interference, so the record at any ISR is one scalar on the
-    interference images: ``received(images, scale(isr_db))``.
+    interference images: ``received(images, scale(isr_db))``.  The source
+    waveforms themselves are not kept, only their Welch PSDs.
     """
 
     tx_stream: SymbolStream
-    soi: BasebandWaveform
-    interference: BasebandWaveform
+    psd_soi: met.PsdEstimate
     psd_int: met.PsdEstimate
     base_ratio_db: float
     images: PathImages
@@ -121,11 +121,16 @@ class DepthPair:
 
 @dataclass
 class Synthesized:
-    """Everything the canceller stage consumes, plus ground truth."""
+    """Everything the canceller stage consumes, plus ground truth.
+
+    ``psd_soi`` and ``psd_int`` are the Welch PSDs of the SOI and of the
+    interference at the record's ISR.  With a clean reference, r_H is the
+    array ``int_reference`` itself.
+    """
 
     tx_stream: SymbolStream
-    soi: BasebandWaveform
-    interference: BasebandWaveform
+    psd_soi: met.PsdEstimate
+    psd_int: met.PsdEstimate
     soi_image: BasebandWaveform
     int_image: BasebandWaveform
     int_reference: BasebandWaveform
@@ -160,8 +165,8 @@ def synthesize_sources(cfg: ScenarioConfig,
     carrier (baseband 0) from their Welch PSDs.
 
     ``share`` holds the sources of another SOI format on the same seed and
-    channel: its interference, PSD, interference images and noise are
-    reused and only the SOI side is rebuilt.
+    channel: its interference PSD, interference images and noise are reused
+    and only the SOI side is rebuilt.
     """
     bits_seed, fm_seed, chan_seed = _seed_ints(cfg.sim.seed, 3)
     stream = random_symbols(cfg.soi.format, cfg.sim.n_symbols,
@@ -174,7 +179,7 @@ def synthesize_sources(cfg: ScenarioConfig,
     psd_soi = met.welch_psd(soi, seg)
     scenario = cfg.channel.to_scenario(chan_seed)
     if share is not None:
-        return Sources(stream, soi, share.interference, share.psd_int,
+        return Sources(stream, psd_soi, share.psd_int,
                        met.isr_at(psd_soi, share.psd_int, 0.0),
                        share.images.with_soi(soi, scenario))
     fs = cfg.sim.sample_rate_hz
@@ -190,7 +195,7 @@ def synthesize_sources(cfg: ScenarioConfig,
             interference.samples * np.exp(2j * np.pi * offset * t)
         )
     psd_int = met.welch_psd(interference, seg)
-    return Sources(stream, soi, interference, psd_int,
+    return Sources(stream, psd_soi, psd_int,
                    met.isr_at(psd_soi, psd_int, 0.0),
                    path_images(soi, interference, scenario))
 
@@ -205,13 +210,16 @@ def synthesize(cfg: ScenarioConfig) -> Synthesized:
     """
     src = synthesize_sources(cfg)
     scale = src.scale(cfg.interference.isr_db)
-    r_l, r_h = received(src.images, scale)
-    # the unit-power arrays belong to this call alone: scale them in place
+    # the unit-power images belong to this call alone: scale them in place
     # rather than keep scaled copies beside them
     img = src.images
-    for w in (src.interference, img.y12, img.y22):
+    for w in (img.y12, img.y22):
         w.samples *= scale
-    return Synthesized(src.tx_stream, src.soi, src.interference, img.y11,
+    r_l = _receive_l(img)
+    # a clean r_H is the scaled interference image itself, not a copy of it
+    r_h = img.y22 if img.clean_reference else _receive_h(img)
+    psd_int = replace(src.psd_int, psd=src.psd_int.psd * scale**2)
+    return Synthesized(src.tx_stream, src.psd_soi, psd_int, img.y11,
                        img.y12, img.y22, r_l, r_h,
                        src.base_ratio_db + 20 * math.log10(scale),
                        img.clean_reference)
@@ -362,9 +370,9 @@ def _write_artifacts(cfg: ScenarioConfig, synth: Synthesized, m: Measured,
         met.export_evm_csv(m.evm, path("evm_errors.csv"))
     if "psd" in kinds:
         seg = min(met.DEFAULT_SEG_LEN, len(synth.r_l) // 8)
-        met.export_psd_csv(met.welch_psd(synth.soi, seg), path("psd_soi.csv"))
-        met.export_psd_csv(met.welch_psd(synth.interference, seg),
-                           path("psd_interference.csv"))
+        # the sources' PSDs are the ones synthesis calibrated the ISR on
+        met.export_psd_csv(synth.psd_soi, path("psd_soi.csv"))
+        met.export_psd_csv(synth.psd_int, path("psd_interference.csv"))
         met.export_psd_csv(met.welch_psd(synth.r_l, seg), path("psd_mixed.csv"))
         met.export_psd_csv(met.welch_psd(m.estimate, seg),
                            path("psd_output.csv"))

@@ -10,6 +10,7 @@ constellation is scaled to unit RMS power.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,13 +128,16 @@ def _raised_cosine_pulse(t: np.ndarray, rolloff: float) -> np.ndarray:
     return np.where(small, np.pi / 4 * np.sinc(1 / (2 * rolloff)), out / safe)
 
 
+@functools.lru_cache(maxsize=16)
 def rrc_taps(sps: int, rolloff: float, span_symbols: int) -> np.ndarray:
     """Root-raised-cosine filter, unit energy, span_symbols*sps + 1 taps.
 
     Built as the zero-phase spectral square root of a Kaiser-windowed
     raised-cosine composite rather than by truncating the closed-form RRC:
     plain truncation at 16 symbols leaves ~1% composite ISI, this keeps the
-    matched cascade Nyquist to ~1e-4 at the same span.
+    matched cascade Nyquist to ~1e-4 at the same span.  The taps are cached
+    per argument tuple and returned read-only, since shaping and matched
+    filtering ask for the same filter on every record.
     """
     if not 0 < rolloff <= 1:
         raise RfCancelError(f"rolloff must be in (0, 1], got {rolloff}")
@@ -143,7 +147,9 @@ def rrc_taps(sps: int, rolloff: float, span_symbols: int) -> np.ndarray:
     nfft = max(8192, 4 * n)
     mag = np.abs(np.fft.fft(composite, nfft))
     h = np.roll(np.fft.ifft(np.sqrt(mag)).real, n // 2)[: n + 1]
-    return h / np.sqrt(np.sum(h**2))
+    h = h / np.sqrt(np.sum(h**2))
+    h.flags.writeable = False
+    return h
 
 
 def _shape_symbols(symbols: np.ndarray, h: np.ndarray, sps: int,

@@ -64,6 +64,19 @@ class TestModulatorResponse:
         got = ModulatorResponse("butterworth_lowpass", 9e9, order).eval(f)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_matches_polyval_form(self, order):
+        """Horner's rule in one buffer gives the bits of np.polyval and
+        np.where, negative frequencies included."""
+        f = np.concatenate([np.linspace(-40e9, 40e9, 2001),
+                            2.4e9 + np.fft.fftfreq(4096, d=5e-9)])
+        n = order
+        poles = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2) / (2 * n))
+        h = 1 / np.polyval(np.poly(poles).real, 1j * (np.abs(f) / 9e9))
+        want = np.where(f < 0, np.conj(h), h)
+        got = ModulatorResponse("butterworth_lowpass", 9e9, order).eval(f)
+        assert np.array_equal(got, want)
+
     def test_invalid_params(self):
         with pytest.raises(RfCancelError):
             ModulatorResponse("butterworth_lowpass", f3db=-1.0)

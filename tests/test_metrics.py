@@ -82,6 +82,28 @@ class TestWelchPsd:
         got = met.welch_psd(w, seg_len=seg, overlap=overlap).psd
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("n, seg, overlap", [
+        (100_000, 1024, 0.5), (20_001, 4096, 0.5), (65_536, 2048, 0.75),
+    ])
+    def test_matches_batch_expression(self, n, seg, overlap):
+        """The reused buffers give the very bits of the batch expression
+        they replace, also for a last batch of fewer than 32 frames."""
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        w = white_wave(n, seed=3)
+        window = np.hanning(seg)
+        hop = max(1, int(round(seg * (1 - overlap))))
+        frames = sliding_window_view(w.samples, seg)[::hop]
+        assert frames.shape[0] % 32
+        acc = np.zeros(seg)
+        for k in range(0, frames.shape[0], 32):
+            spectra = np.fft.fft(frames[k: k + 32] * window, axis=1)
+            acc += np.sum(np.abs(spectra) ** 2, axis=0)
+        want = np.fft.fftshift(
+            acc / (frames.shape[0] * FS * np.sum(window**2)))
+        got = met.welch_psd(w, seg_len=seg, overlap=overlap).psd
+        assert np.array_equal(got, want)
+
     def test_peak_memory_bounded_on_long_record(self):
         """Framing the record allocates batches, not a copy per segment."""
         w = white_wave(2_631_680, seed=1)

@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import stat
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -176,8 +177,9 @@ class TestRun:
     def test_depth_curve_is_the_measured_depth(self, cfg, tmp_path,
                                                monkeypatch):
         """depth_curve.csv exports the depth report the run measured, so a
-        run with every artifact kind computes eight Welch PSDs: two in
-        synthesis, two for the depth and four for the PSD artifacts."""
+        run with every artifact kind computes six Welch PSDs: two in
+        synthesis, two for the depth and two for the PSD artifacts (the
+        sources' PSDs are the synthesis ones)."""
         synth = runner.synthesize(cfg)
         taps, _ = runner._train_taps(cfg, synth.r_l, synth.r_h)
         residual = canc.cancel(synth.int_image, synth.int_reference, taps)
@@ -192,7 +194,37 @@ class TestRun:
         runner.run(cfg, tmp_path / "run")
         assert ((tmp_path / "run" / "depth_curve.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
-        assert len(calls) == 8
+        assert len(calls) == 6
+
+    def test_source_psds_are_the_synthesis_psds(self, cfg, tmp_path):
+        """psd_soi.csv and psd_interference.csv export the PSDs synthesis
+        calibrated the ISR on, at the record's ISR."""
+        runner.run(cfg, tmp_path / "run")
+        synth = runner.synthesize(cfg)
+        met.export_psd_csv(synth.psd_soi, tmp_path / "soi.csv")
+        met.export_psd_csv(synth.psd_int, tmp_path / "int.csv")
+        for got, want in (("psd_soi.csv", "soi.csv"),
+                          ("psd_interference.csv", "int.csv")):
+            assert ((tmp_path / "run" / got).read_bytes()
+                    == (tmp_path / want).read_bytes())
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        """A run on a 4x record keeps at most eight record-sized complex
+        arrays alive at once (tracemalloc peak of a second run)."""
+        tree = yaml.safe_load((CONFIG_DIR / "evm_vs_isr.yaml").read_text())
+        span = tree["soi"]["span_symbols"]
+        tree["sim"]["n_symbols"] = 4 * (tree["sim"]["n_symbols"] + span) - span
+        tree["outputs"]["csv"] = ["report"]
+        cfg = from_tree(tree)
+        n = (cfg.sim.n_symbols + span) * cfg.sps
+        runner.run(cfg, tmp_path / "warm")
+        tracemalloc.start()
+        try:
+            runner.run(cfg, tmp_path / "run")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * n
 
     def test_default_config_logs_no_warning(self, caplog):
         caplog.set_level(logging.WARNING, logger="rfcancel")
@@ -216,15 +248,44 @@ class TestGroundTruth:
         err = np.max(np.abs(got.samples - want.samples))
         assert err <= 1e-12 * np.max(np.abs(want.samples))
 
-    def test_images_are_noise_free(self, noisy):
+    def test_images_are_noise_free(self, noisy, monkeypatch):
         """The images depth and SIR are measured against carry no noise."""
+        # the sources synthesis builds, recorded as they enter the channel
+        seen = {}
+        images, sources = runner.path_images, runner.synthesize_sources
+
+        def record_images(soi, interference, scenario):
+            seen.update(soi=soi, interference=interference)
+            return images(soi, interference, scenario)
+
+        def record_sources(cfg, *args, **kwargs):
+            seen["src"] = sources(cfg, *args, **kwargs)
+            return seen["src"]
+
+        monkeypatch.setattr(runner, "path_images", record_images)
+        monkeypatch.setattr(runner, "synthesize_sources", record_sources)
         synth = runner.synthesize(noisy)
+        soi = seen["soi"]
+        scale = seen["src"].scale(noisy.interference.isr_db)
+        interference = seen["interference"].with_samples(
+            seen["interference"].samples * scale)
         scenario = noisy.channel.to_scenario(0)
         clean = lambda w, p: apply_path(w, replace(p, noise_psd=0.0))
-        self._close(synth.soi_image, clean(synth.soi, scenario.a11))
-        self._close(synth.int_image, clean(synth.interference, scenario.a12))
-        self._close(synth.int_reference,
-                    clean(synth.interference, scenario.a22))
+        self._close(synth.soi_image, clean(soi, scenario.a11))
+        self._close(synth.int_image, clean(interference, scenario.a12))
+        self._close(synth.int_reference, clean(interference, scenario.a22))
+
+    def test_clean_reference_is_the_image(self, cfg, noisy):
+        """A clean r_H is the interference image's own array; with noise on
+        a22, r_H is an array of its own."""
+        synth = runner.synthesize(cfg)
+        assert synth.clean_reference
+        assert np.shares_memory(synth.r_h.samples,
+                                synth.int_reference.samples)
+        synth = runner.synthesize(noisy)
+        assert not synth.clean_reference
+        assert not np.shares_memory(synth.r_h.samples,
+                                    synth.int_reference.samples)
 
     def test_reference_noise_is_the_a22_draw(self, noisy):
         synth = runner.synthesize(noisy)

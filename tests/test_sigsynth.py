@@ -114,6 +114,14 @@ class TestGenerateSoi:
         err = scale * rec - stream.symbols
         assert np.sqrt(np.mean(np.abs(err) ** 2)) < 1e-3
 
+    def test_rrc_taps_cached_read_only(self):
+        """Every caller shares one read-only array per filter."""
+        h = ss.rrc_taps(8, 0.2, 16)
+        assert ss.rrc_taps(8, 0.2, 16) is h
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0] = 0.0
+
     def test_occupied_bandwidth(self, rng):
         """5 MBd rolloff-0.2 spectrum is ~6 MHz wide at -20 dB."""
         stream = ss.random_symbols("qpsk", 20_000, 5e6, rng)
