@@ -23,12 +23,12 @@ from .errors import (
     DegenerateReference,
     NoCoherentReference,
     NotConvergedWarning,
-    RateMismatch,
     RfCancelError,
     UnseparableWarning,
 )
-from .waveform import BasebandWaveform, merge_invalid
+from .waveform import BasebandWaveform, check_aligned, merge_invalid
 
+# the correlation below which resolve_permutation finds no interference
 COHERENCE_THRESHOLD = 0.2
 
 _log = logging.getLogger(__name__)
@@ -70,15 +70,6 @@ class SeparationResult:
     iterations: int
     converged: bool
     free_parameters: int
-
-
-def _check_pair(r_l: BasebandWaveform, r_h: BasebandWaveform) -> None:
-    if r_l.sample_rate != r_h.sample_rate:
-        raise RateMismatch(
-            f"sample rates differ: {r_l.sample_rate} vs {r_h.sample_rate}"
-        )
-    if len(r_l) != len(r_h):
-        raise RateMismatch(f"lengths differ: {len(r_l)} vs {len(r_h)}")
 
 
 def _xcorr_peak(r_l: BasebandWaveform, r_h: BasebandWaveform,
@@ -131,19 +122,20 @@ def estimate_delay(r_l: BasebandWaveform, r_h: BasebandWaveform,
 
     The lag maximizing |cross-correlation| is refined to sub-sample
     precision by parabolic interpolation of the magnitude peak.  Raises
-    NoCoherentReference when the normalized peak falls below 0.2.
+    NoCoherentReference when the normalized peak falls below its noise
+    floor, 8/sqrt(N) for N valid samples: the signals share no content
+    that the peak could locate.
     """
-    _check_pair(r_l, r_h)
+    check_aligned(r_l, r_h)
     fs = r_l.sample_rate
     max_lag_samples = int(round(max_lag * fs))
     if max_lag_samples >= len(r_l) // 4:
         raise RfCancelError("max_lag must be below a quarter of the duration")
     lag, peak_norm = _xcorr_peak(r_l, r_h, max_lag_samples)
-    if peak_norm < COHERENCE_THRESHOLD:
-        raise NoCoherentReference(
-            f"normalized correlation peak {peak_norm:.3f} < "
-            f"{COHERENCE_THRESHOLD}; signals do not share content"
-        )
+    noise_floor = 8.0 / np.sqrt(max(min(r_l.valid.size, r_h.valid.size), 1))
+    if peak_norm < noise_floor:
+        raise NoCoherentReference(f"correlation peak {peak_norm:.4g} is "
+                                  f"below the noise floor {noise_floor:.4g}")
     return lag / fs
 
 
@@ -157,7 +149,7 @@ def refine_delay_by_residual(r_l: BasebandWaveform, r_h: BasebandWaveform,
     accuracy of the parabolic stage (picoseconds at GHz carriers), so this
     runs a bounded scalar search on the interpolated correlation magnitude.
     """
-    _check_pair(r_l, r_h)
+    check_aligned(r_l, r_h)
     fs = r_l.sample_rate
     # a slice keeps each probe cheap; accuracy is set by xtol, not length
     n = min(len(r_h), 1 << 16)
@@ -187,16 +179,13 @@ def refine_delay_by_residual(r_l: BasebandWaveform, r_h: BasebandWaveform,
     return float(res.x)
 
 
-def estimate_gain(r_l: BasebandWaveform, r_h: BasebandWaveform,
-                  delay: float = 0.0) -> complex:
-    """Least-squares complex gain of the (delayed) reference inside r_L.
+def estimate_gain(r_l: BasebandWaveform, ref: BasebandWaveform) -> complex:
+    """Least-squares complex gain of the reference inside r_L.
 
-    The reference is delayed with the same physical (carrier-rotating)
-    element the canceller applies, so the estimate plugs straight into
-    CancellerTaps.
+    ``ref`` is r_H already delayed by the taps' delay, as ``subtract``
+    takes it, so the estimate plugs straight into CancellerTaps.
     """
-    _check_pair(r_l, r_h)
-    ref = true_time_delay(r_h, delay) if delay != 0.0 else r_h
+    check_aligned(r_l, ref)
     head, tail = merge_invalid(r_l, ref)
     stop = len(r_l) - tail
     a = r_l.samples[head:stop]
@@ -214,7 +203,6 @@ def cancel(r_l: BasebandWaveform, r_h: BasebandWaveform,
     y = r_L - gain * delayed(r_H); the delay rotates the carrier the same
     way the channel's delay element does, so taps transfer across carriers.
     """
-    _check_pair(r_l, r_h)
     ref = true_time_delay(r_h, taps.delay) if taps.delay != 0.0 else r_h
     return subtract(r_l, ref, taps.gain)
 
@@ -226,7 +214,7 @@ def subtract(r_l: BasebandWaveform, ref: BasebandWaveform, gain: complex,
     ``in_place=True`` forms the difference in ``ref``'s own buffer, which
     then holds the result; the values are the same either way.
     """
-    _check_pair(r_l, ref)
+    check_aligned(r_l, ref)
     if in_place:
         # the same two operations, in this order, as the expression below
         y = np.multiply(gain, ref.samples, out=ref.samples)
@@ -252,92 +240,54 @@ def perturb_taps(taps: CancellerTaps, gain_error_mag: float = 0.0,
     return CancellerTaps(taps.delay + delay_error, gain, taps.residual_power_db)
 
 
-def _train_delay(r_l: BasebandWaveform, r_h: BasebandWaveform,
-                 max_lag: float | None, refine: str) -> float:
-    """Delay of r_H's content inside r_L, in seconds, or 0 when the
-    normalized correlation peak falls below its noise floor, 8/sqrt(N)
-    for N valid samples (logged as a warning).
-    """
-    fs = r_l.sample_rate
-    if max_lag is None:
-        max_lag_samples = min(1024, len(r_l) // 4 - 1)
-    else:
-        max_lag_samples = int(round(max_lag * fs))
-    lag, peak_norm = _xcorr_peak(r_l, r_h, max_lag_samples)
-    n_used = min(r_l.valid.size, r_h.valid.size)
-    noise_floor = 8.0 / np.sqrt(max(n_used, 1))
-    if peak_norm < noise_floor:
-        _log.warning("correlation peak %.4g is below the noise floor %.4g; "
-                     "training at lag 0", peak_norm, noise_floor)
-        return 0.0
-    delay = lag / fs
-    if refine == "residual":
-        delay = refine_delay_by_residual(r_l, r_h, delay)
-    return delay
-
-
-def _fit_gain(r_l: BasebandWaveform, ref: BasebandWaveform,
-              delay: float) -> tuple[BasebandWaveform, CancellerTaps]:
-    """Least-squares gain of the reference ``ref``, already delayed by
-    ``delay``, and the residual it leaves; the taps carry that residual's
-    power relative to r_L."""
-    taps = CancellerTaps(delay, estimate_gain(r_l, ref))
-    out = subtract(r_l, ref, taps.gain)
-    p_in = r_l.power()
-    p_out = out.power()
-    if p_in > 0 and p_out > 0:
-        taps.residual_power_db = float(10 * np.log10(p_out / p_in))
-    return out, taps
-
-
-def cancel_auto(r_l: BasebandWaveform, r_h: BasebandWaveform,
-                max_lag: float | None = None,
-                refine: str = "parabolic") -> tuple[BasebandWaveform, CancellerTaps]:
-    """End-to-end reference-aided cancellation: delay, gain, subtract.
-
-    When the reference correlates too weakly for a trustworthy delay
-    estimate (nothing to cancel, or interference far below the SOI), the
-    canceller degrades to lag 0 instead of failing, and logs a warning on
-    the ``rfcancel.canceller`` logger: the least-squares gain then shrinks
-    toward zero and the output approaches r_L.  A zero-energy reference
-    still raises DegenerateReference.
-
-    r_H is delayed once, at the trained delay: that one delayed reference
-    serves both the gain fit and the subtraction.
-
-    ``refine="residual"`` polishes the delay by correlation maximization;
-    frequency-sweep training uses it to reach picosecond matching.
-    """
-    _check_pair(r_l, r_h)
-    delay = _train_delay(r_l, r_h, max_lag, refine)
-    return _fit_gain(r_l, true_time_delay(r_h, delay), delay)
-
-
-def _prefix(w: BasebandWaveform, n: int, tail: int = 0) -> BasebandWaveform:
+def _prefix(w: BasebandWaveform, n: int, margin: int = 0) -> BasebandWaveform:
+    """The first ``n`` samples of ``w`` and the part of its invalid tail
+    that they reach; ``w``'s last ``margin`` invalid samples, a delay's own
+    edge, stay invalid at the end of the prefix as well."""
+    tail = max(w.invalid_tail - margin - (len(w) - n), 0) + margin
     return BasebandWaveform(w.samples[:n], w.sample_rate, w.center_freq,
                             w.invalid_head, tail)
 
 
 def train(r_l: BasebandWaveform, r_h: BasebandWaveform, window: int,
-          max_lag: float | None = None, refine: str = "parabolic"
+          max_lag: float, refine: str = "parabolic"
           ) -> tuple[CancellerTaps, BasebandWaveform]:
     """Taps trained on the first ``window`` samples, and r_H delayed by
     them over the whole record.
 
-    The delay is searched and the gain fitted as ``cancel_auto`` does, on
-    the window alone.  r_H itself is delayed once, over the full record:
-    the gain fit takes the window-length prefix of that array, with the
-    edge margins a delayed window would carry, and the caller subtracts
-    the same array (``subtract``) wherever it applies these taps.
+    The delay is searched (``estimate_delay``) and the least-squares gain
+    fitted on the window alone; the taps carry the residual power that gain
+    leaves there, relative to r_L.  When the reference correlates too
+    weakly for a trustworthy delay (nothing to cancel, or interference far
+    below the SOI), training degrades to lag 0 instead of failing, and logs
+    a warning on the ``rfcancel.canceller`` logger: the gain then shrinks
+    toward zero.  A zero-energy reference still raises DegenerateReference.
+    ``refine="residual"`` polishes the delay by correlation maximization;
+    frequency-sweep training uses it to reach picosecond matching.
+
+    r_H itself is delayed once, over the full record: the gain fit takes
+    the window-length prefix of that array, with the edge margins a delayed
+    window would carry, and the caller subtracts the same array
+    (``subtract``) wherever it applies these taps.
     """
-    _check_pair(r_l, r_h)
+    check_aligned(r_l, r_h)
     window = min(window, len(r_l))
-    train_l = _prefix(r_l, window)
-    delay = _train_delay(train_l, _prefix(r_h, window), max_lag, refine)
+    train_l, train_h = _prefix(r_l, window), _prefix(r_h, window)
+    try:
+        delay = estimate_delay(train_l, train_h, max_lag)
+    except NoCoherentReference as exc:
+        _log.warning("%s; training at lag 0", exc)
+        delay = 0.0
+    else:
+        if refine == "residual":
+            delay = refine_delay_by_residual(train_l, train_h, delay)
     ref = true_time_delay(r_h, delay)
-    # the delay's own margin at the tail, as if the window ended the record
     ref_window = _prefix(ref, window, ref.invalid_tail - r_h.invalid_tail)
-    _, taps = _fit_gain(train_l, ref_window, delay)
+    taps = CancellerTaps(delay, estimate_gain(train_l, ref_window))
+    p_in = train_l.power()
+    p_out = subtract(train_l, ref_window, taps.gain).power()
+    if p_in > 0 and p_out > 0:
+        taps.residual_power_db = float(10 * np.log10(p_out / p_in))
     return taps, ref
 
 
@@ -358,7 +308,7 @@ def bss_separate(x1: BasebandWaveform, x2: BasebandWaveform,
     NotConvergedWarning (result still returned, converged=False) when the
     iteration cap is hit.
     """
-    _check_pair(x1, x2)
+    check_aligned(x1, x2)
     cfg = config or IcaConfig()
     head, tail = merge_invalid(x1, x2)
     stop = len(x1) - tail
@@ -463,7 +413,6 @@ __all__ = [
     "SeparationResult",
     "bss_separate",
     "cancel",
-    "cancel_auto",
     "estimate_delay",
     "estimate_gain",
     "perturb_taps",

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DelayTooLarge, RateMismatch, RfCancelError
-from .waveform import BasebandWaveform, merge_invalid
+from .errors import DelayTooLarge, RfCancelError
+from .waveform import BasebandWaveform, check_aligned, merge_invalid
 
 INTERP_TAPS = 64
 INTERP_BETA = 8.0
@@ -84,18 +84,13 @@ class PathModel:
 
 @dataclass
 class MixingScenario:
-    """The four paths of the 2x2 mixer; reference mode pins a21 to zero."""
+    """The paths of the 2x2 mixer.  Its a21 entry is zero: no SOI reaches
+    the reference receiver, which sees the interference alone."""
 
     a11: PathModel
     a12: PathModel
-    a21: PathModel
     a22: PathModel
-    reference_mode: bool = True
     seed: int = 0
-
-    def __post_init__(self):
-        if self.reference_mode and self.a21.gain != 0:
-            raise RfCancelError("reference_mode requires a21.gain == 0")
 
 
 def _interp_kernel(frac: float, taps: int = INTERP_TAPS,
@@ -233,18 +228,16 @@ def apply_path(w: BasebandWaveform, p: PathModel,
 class PathImages:
     """The channel's output split into its linear parts.
 
-    ``y11``/``y21`` are the noise-free images of the SOI on r_L/r_H and
-    ``y12``/``y22`` those of the interference; ``n_l``/``n_h`` are the noise
+    ``y11`` is the noise-free image of the SOI on r_L and ``y12``/``y22``
+    those of the interference on r_L/r_H; ``n_l``/``n_h`` are the noise
     each receiver adds.  Because the channel is linear in the interference,
     a record at any interference amplitude ``scale`` is
-    r_L = y11 + scale*y12 + n_L and r_H = y21 + scale*y22 + n_H (see
-    ``received``).  ``y21`` is None when a21 is zero, and a noise entry is
-    None when its paths are noiseless.
+    r_L = y11 + scale*y12 + n_L and r_H = scale*y22 + n_H (see
+    ``received``).  A noise entry is None when its paths are noiseless.
     """
 
     y11: BasebandWaveform
     y12: BasebandWaveform
-    y21: BasebandWaveform | None
     y22: BasebandWaveform
     n_l: np.ndarray | None
     n_h: np.ndarray | None
@@ -252,29 +245,13 @@ class PathImages:
     @property
     def clean_reference(self) -> bool:
         """True when r_H is the interference image alone: scale*y22."""
-        return self.y21 is None and self.n_h is None
+        return self.n_h is None
 
     def with_soi(self, soi: BasebandWaveform,
                  scenario: MixingScenario) -> "PathImages":
-        """The same interference images and noise with another SOI's images."""
-        _check_sources(soi, self.y12)
-        return replace(self, **_soi_images(soi, scenario))
-
-
-def _soi_images(soi: BasebandWaveform, scenario: MixingScenario) -> dict:
-    return {"y11": _image(soi, scenario.a11),
-            "y21": _image(soi, scenario.a21) if scenario.a21.gain else None}
-
-
-def _check_sources(soi: BasebandWaveform, interference: BasebandWaveform):
-    if soi.sample_rate != interference.sample_rate:
-        raise RateMismatch(
-            f"sample rates differ: {soi.sample_rate} vs {interference.sample_rate}"
-        )
-    if len(soi) != len(interference):
-        raise RateMismatch(
-            f"lengths differ: {len(soi)} vs {len(interference)}"
-        )
+        """The same interference images and noise with another SOI's image."""
+        check_aligned(soi, self.y12)
+        return replace(self, y11=_image(soi, scenario.a11))
 
 
 def _sum_noise(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
@@ -286,7 +263,9 @@ def _sum_noise(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
 
 def path_rngs(scenario: MixingScenario) -> list[np.random.Generator]:
     """One noise generator per mixing-matrix entry (a11, a12, a21, a22),
-    each on its own independent sub-stream of the scenario seed."""
+    each on its own independent sub-stream of the scenario seed.  The zero
+    a21 entry draws nothing, but keeps its stream so that a22 keeps its
+    own."""
     return [np.random.default_rng(s)
             for s in np.random.SeedSequence(scenario.seed).spawn(4)]
 
@@ -295,40 +274,35 @@ def path_images(soi: BasebandWaveform, interference: BasebandWaveform,
                 scenario: MixingScenario) -> PathImages:
     """Noise-free path images of both sources and the per-receiver noise,
     drawn from ``path_rngs``."""
-    _check_sources(soi, interference)
-    paths = (scenario.a11, scenario.a12, scenario.a21, scenario.a22)
-    sources = (soi, interference, soi, interference)
-    draws = [_noise(p, w, rng)
-             for p, w, rng in zip(paths, sources, path_rngs(scenario))]
+    check_aligned(soi, interference)
+    rng11, rng12, _, rng22 = path_rngs(scenario)
     return PathImages(
-        **_soi_images(soi, scenario),
+        y11=_image(soi, scenario.a11),
         y12=_image(interference, scenario.a12),
         y22=_image(interference, scenario.a22),
-        n_l=_sum_noise(draws[0], draws[1]),
-        n_h=_sum_noise(draws[2], draws[3]),
+        n_l=_sum_noise(_noise(scenario.a11, soi, rng11),
+                       _noise(scenario.a12, interference, rng12)),
+        n_h=_noise(scenario.a22, interference, rng22),
     )
-
-
-def _receive(like: BasebandWaveform, image: BasebandWaveform, scale: float,
-             own: BasebandWaveform | None,
-             noise: np.ndarray | None) -> BasebandWaveform:
-    samples = image.samples * scale
-    if own is not None:
-        samples += own.samples
-    if noise is not None:
-        samples += noise
-    head, tail = merge_invalid(*(w for w in (image, own) if w is not None))
-    return like.with_samples(samples, invalid_head=head, invalid_tail=tail)
 
 
 def _receive_l(images: PathImages, scale: float = 1.0) -> BasebandWaveform:
     """r_L = y11 + scale*y12 + n_L, with the SOI image's metadata."""
-    return _receive(images.y11, images.y12, scale, images.y11, images.n_l)
+    samples = images.y12.samples * scale
+    samples += images.y11.samples
+    if images.n_l is not None:
+        samples += images.n_l
+    head, tail = merge_invalid(images.y12, images.y11)
+    return images.y11.with_samples(samples, invalid_head=head,
+                                   invalid_tail=tail)
 
 
 def _receive_h(images: PathImages, scale: float = 1.0) -> BasebandWaveform:
-    """r_H = y21 + scale*y22 + n_H, with the interference image's metadata."""
-    return _receive(images.y22, images.y22, scale, images.y21, images.n_h)
+    """r_H = scale*y22 + n_H, with the interference image's metadata."""
+    samples = images.y22.samples * scale
+    if images.n_h is not None:
+        samples += images.n_h
+    return images.y22.with_samples(samples)
 
 
 def received(images: PathImages,
@@ -341,9 +315,8 @@ def mix(soi: BasebandWaveform, interference: BasebandWaveform,
         scenario: MixingScenario) -> tuple[BasebandWaveform, BasebandWaveform]:
     """Produce the antenna signal r_L and the reference signal r_H.
 
-    r_L = a11(soi) + a12(interference); r_H = a21(soi) + a22(interference).
-    With reference_mode the a21 entry is exactly zero, so r_H carries
-    interference only.
+    r_L = a11(soi) + a12(interference); r_H = a22(interference): the a21
+    entry is zero, so r_H carries interference only.
     """
     return received(path_images(soi, interference, scenario))
 

@@ -72,33 +72,29 @@ class PathConfig:
     delay_s: float = 0.0
     noise_psd: float = 0.0
     response: ResponseConfig = field(default_factory=ResponseConfig)
-    zero: bool = False
 
     def to_model(self) -> PathModel:
         r = self.response
         resp = (ModulatorResponse(r.kind) if r.kind == "flat"
                 else ModulatorResponse(r.kind, r.f3db_hz, r.order))
-        gain = 0.0 if self.zero else gain_from_db(self.gain_db, self.phase_deg)
-        return PathModel(gain=gain, delay=self.delay_s,
-                         response=resp, noise_psd=self.noise_psd)
-
-
-@dataclass
-class CrossPathConfig(PathConfig):
-    zero: bool = True       # a21: no SOI leaks into the reference receiver
+        return PathModel(gain=gain_from_db(self.gain_db, self.phase_deg),
+                         delay=self.delay_s, response=resp,
+                         noise_psd=self.noise_psd)
 
 
 @dataclass
 class PathsConfig:
     a11: PathConfig = field(default_factory=PathConfig)
     a12: PathConfig = field(default_factory=PathConfig)
-    a21: CrossPathConfig = field(default_factory=CrossPathConfig)
+    # no SOI reaches the reference receiver: a21 is zero, and the key is
+    # accepted only as {zero: true}, so old files still parse
+    a21: dict = field(default_factory=lambda: {"zero": True})
     a22: PathConfig = field(default_factory=PathConfig)
 
 
 @dataclass
 class ChannelConfig:
-    reference_mode: bool = True
+    reference_mode: bool = True     # accepted only as true: a21 is zero
     paths: PathsConfig = field(default_factory=PathsConfig)
 
     a11 = property(lambda self: self.paths.a11)
@@ -106,9 +102,8 @@ class ChannelConfig:
     a22 = property(lambda self: self.paths.a22)
 
     def to_scenario(self, seed: int) -> MixingScenario:
-        models = {name: p.to_model() for name, p in vars(self.paths).items()}
-        return MixingScenario(**models, reference_mode=self.reference_mode,
-                              seed=seed)
+        return MixingScenario(self.a11.to_model(), self.a12.to_model(),
+                              self.a22.to_model(), seed)
 
 
 @dataclass
@@ -204,6 +199,11 @@ CHECKS = {
     "interference.deviation_pp_hz": _at_least(0),
     "interference.mod_noise_bw_hz": _above(0),
     "interference.isr_db": _db,
+    "channel.reference_mode": lambda v: None if v is True else (
+        "a21 is always zero; only true is accepted"),
+    "channel.paths.a21": lambda v: None if (
+        v == {"zero": True} and v["zero"] is True) else (
+        "a21 is always zero; only {zero: true} is accepted"),
     "channel.paths.*.gain_db": _db,
     "channel.paths.*.delay_s": _at_least(0),
     "channel.paths.*.noise_psd": _at_least(0),
@@ -230,7 +230,8 @@ CHECKS = {
 
 # accepted Python types and their name in messages; a bool is not a number
 _TYPES = {float: ((int, float), "a finite number"), int: (int, "an integer"),
-          bool: (bool, "true or false"), str: (str, "a string")}
+          bool: (bool, "true or false"), str: (str, "a string"),
+          dict: (dict, "a mapping")}
 
 
 def _value(kind, raw, path: str, bad: list[str]):
@@ -296,22 +297,31 @@ def _cross_checks(cfg: ScenarioConfig) -> list[str]:
             and round(sps) >= 2):
         bad.append("sim.sample_rate_hz: sample_rate / symbol_rate must be "
                    f"an integer >= 2, got {sps:.6g}")
-    elif (n := round(sps) * (sim.n_symbols + soi.span_symbols)) > RECORD_BUDGET:
-        bad.append(f"sim.n_symbols: a record of sps * (n_symbols + "
-                   f"span_symbols) = {n} samples exceeds 2**26")
+    else:
+        n = round(sps) * (sim.n_symbols + soi.span_symbols)
+        if n > RECORD_BUDGET:
+            bad.append(f"sim.n_symbols: a record of sps * (n_symbols + "
+                       f"span_symbols) = {n} samples exceeds 2**26")
+        # the delay search's own guard, on the training window and on the
+        # frequency sweep's training record
+        lag = cfg.canceller.max_lag_s * sim.sample_rate_hz
+        lag = round(lag) if math.isfinite(lag) else lag
+        size = min(cfg.canceller.training_window, n, cfg.sweep.train_samples)
+        if lag >= size // 4:
+            bad.append(f"canceller.max_lag_s: {lag} lag samples must be below "
+                       "a quarter of min(training_window, record length, "
+                       f"sweep.train_samples) = {size}")
     offset = abs(intf.carrier_hz - soi.carrier_hz)
     if sim.sample_rate_hz <= (2 * (intf.deviation_pp_hz + intf.mod_noise_bw_hz)
                               + 2 * offset):
         bad.append("sim.sample_rate_hz: must exceed twice the interference "
                    "occupied bandwidth")
-    for name, p in vars(chan.paths).items():
-        if p.response.kind == "butterworth_lowpass":
+    for name in ("a11", "a12", "a22"):
+        response = getattr(chan.paths, name).response
+        if response.kind == "butterworth_lowpass":
             bad.extend(f"channel.paths.{name}.response.{key}: mandatory for "
                        "butterworth_lowpass" for key in ("f3db_hz", "order")
-                       if getattr(p.response, key) is None)
-    if chan.reference_mode and not chan.paths.a21.zero:
-        bad.append("channel.paths.a21: reference_mode forces a21 to zero; "
-                   "set zero: true")
+                       if getattr(response, key) is None)
     return bad
 
 

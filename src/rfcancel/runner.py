@@ -97,7 +97,7 @@ class DepthPair:
     ``image`` is its image on r_L, the depth's "before", and ``reference``
     its image on r_H; depth is a power ratio, so the pair may be at any
     common scale.  ``ref_scale`` is k when r_H = k * reference exactly (no
-    receiver noise and no SOI on r_H), and the residual then reuses the
+    receiver noise on r_H), and the residual then reuses the
     canceller's delayed r_H.  Otherwise it is None and the reference is
     delayed on its own, so the ground truth stays noise-free.
     ``before_psd``, when set, is the Welch PSD of ``image``.
@@ -234,8 +234,8 @@ def _train_taps(cfg: ScenarioConfig, r_l: BasebandWaveform,
     delayed reference that every use of these taps shares.
     """
     c = cfg.canceller
-    taps, delayed = canc.train(r_l, r_h, c.training_window,
-                               max_lag=c.max_lag_s, refine=c.delay_refine)
+    taps, delayed = canc.train(r_l, r_h, c.training_window, c.max_lag_s,
+                               c.delay_refine)
     taps = _taps_error(cfg, taps)
     if c.taps_error.delay_s:
         # the delay error moves the delay line off the trained delay
@@ -506,8 +506,8 @@ def train_sweep_taps(cfg: ScenarioConfig) -> canc.CancellerTaps:
     rngs = path_rngs(scenario)
     r_l = apply_path(probe, scenario.a12, rngs[1])
     r_h = apply_path(probe, scenario.a22, rngs[3])
-    _, taps = canc.cancel_auto(r_l, r_h, max_lag=cfg.canceller.max_lag_s,
-                               refine=cfg.canceller.delay_refine)
+    taps, _ = canc.train(r_l, r_h, len(r_l), cfg.canceller.max_lag_s,
+                         cfg.canceller.delay_refine)
     return _taps_error(cfg, taps)
 
 

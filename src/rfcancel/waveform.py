@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RfCancelError
+from .errors import RateMismatch, RfCancelError
 
 MAGIC = b"RCWV"
 FORMAT_VERSION = 1
@@ -89,6 +89,16 @@ def merge_invalid(*waves: BasebandWaveform) -> tuple[int, int]:
     return head, tail
 
 
+def check_aligned(a: BasebandWaveform, b: BasebandWaveform) -> None:
+    """Raise RateMismatch unless ``a`` and ``b`` share a sample rate and a
+    length, so that their samples pair up one for one."""
+    if a.sample_rate != b.sample_rate:
+        raise RateMismatch(f"sample rates differ: {a.sample_rate} vs "
+                           f"{b.sample_rate}")
+    if len(a) != len(b):
+        raise RateMismatch(f"lengths differ: {len(a)} vs {len(b)}")
+
+
 def _umask() -> int:
     # the umask can only be read by setting it; the restrictive placeholder
     # keeps files created meanwhile by other threads private
@@ -159,6 +169,7 @@ __all__ = [
     "BasebandWaveform",
     "FORMAT_VERSION",
     "MAGIC",
+    "check_aligned",
     "load_waveform",
     "merge_invalid",
     "save_waveform",

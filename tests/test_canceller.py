@@ -95,14 +95,6 @@ class TestXcorrPeak:
         assert got_lag == pytest.approx(want_lag, abs=1e-9)
         assert got_peak == pytest.approx(want_peak, rel=1e-12)
 
-    def test_cancel_auto_default_lag_range(self):
-        """max_lag=None searches min(1024, n/4 - 1) lags either side."""
-        r_l, r_h = _lagged_pair(4096, -700)
-        want_lag, _ = _full_xcorr_peak(r_l.samples, r_h.samples, 1023)
-        _, taps = canc.cancel_auto(r_l, r_h, max_lag=None)
-        assert taps.delay * FS == pytest.approx(want_lag, abs=1e-9)
-        assert round(want_lag) == -700
-
 
 class TestEstimateGain:
     def test_exact_scaling(self):
@@ -191,13 +183,22 @@ class TestCancel:
         assert out.delay == pytest.approx(1e-8 + 1e-12)
 
 
+def _cancel(r_l, r_h, max_lag=50 / FS):
+    """Train on the whole record, then subtract the delayed reference."""
+    taps, ref = canc.train(r_l, r_h, len(r_l), max_lag)
+    return canc.subtract(r_l, ref, taps.gain), taps
+
+
 class TestCancelAuto:
+    """End-to-end cancellation: training over the whole record, then the
+    subtraction of the delayed reference it returns."""
+
     def test_nothing_to_cancel(self):
         """With no interference in r_L the gain estimate shrinks to noise."""
         n = 1 << 16
         r_l = white_wave(n, seed=1)
         r_h = fm_wave(n, seed=2)
-        out, taps = canc.cancel_auto(r_l, r_h)
+        out, taps = _cancel(r_l, r_h)
         assert abs(taps.gain) < 5e-3
         resid = np.mean(np.abs(out.samples - r_l.samples) ** 2)
         assert resid < 1e-4
@@ -209,7 +210,7 @@ class TestCancelAuto:
                                               delay=15e-9))
         r_l = r_l_clean.with_samples(r_l_clean.samples + soi.samples)
         r_h = apply_path(src, PathModel(gain=0.9, delay=5e-9))
-        out, taps = canc.cancel_auto(r_l, r_h, max_lag=50 / FS)
+        out, taps = _cancel(r_l, r_h)
         assert taps.delay == pytest.approx(10e-9, abs=0.05 / FS)
         resid = canc.cancel(r_l_clean, r_h, taps)
         depth = -10 * np.log10(resid.power() / r_l_clean.power())
@@ -232,7 +233,7 @@ class TestCancelAuto:
                                               delay=15e-9))
             r_l = r_l_c.with_samples(r_l_c.samples + soi.samples)
             r_h = apply_path(src, PathModel(gain=1.0, delay=5e-9))
-            _, t = canc.cancel_auto(r_l, r_h, max_lag=50 / FS)
+            _, t = _cancel(r_l, r_h)
             taps.append(t)
         assert taps[0].delay == pytest.approx(taps[1].delay, abs=0.1 / FS)
         eff = [t.gain * np.exp(-2j * np.pi * fc * t.delay) for t in taps]
@@ -248,21 +249,21 @@ class TestCancelAuto:
         delay = canc.true_time_delay
         monkeypatch.setattr(canc, "true_time_delay",
                             lambda w, tau: calls.append(tau) or delay(w, tau))
-        out, taps = canc.cancel_auto(r_l, r_h, max_lag=50 / FS)
+        out, taps = _cancel(r_l, r_h)
         assert calls == [taps.delay] and taps.delay != 0
         monkeypatch.undo()
-        assert taps.gain == canc.estimate_gain(r_l, r_h, taps.delay)
+        ref = canc.true_time_delay(r_h, taps.delay)
+        assert taps.gain == canc.estimate_gain(r_l, ref)
         want = canc.cancel(r_l, r_h, taps)
         assert np.array_equal(out.samples, want.samples)
         assert (out.invalid_head, out.invalid_tail) == (
             want.invalid_head, want.invalid_tail)
 
-
     def test_lag0_fallback_logs_warning(self, caplog):
         """A reference independent of r_L trains at lag 0 and says so."""
         n = 1 << 16
         caplog.set_level(logging.WARNING, logger="rfcancel.canceller")
-        _, taps = canc.cancel_auto(white_wave(n, seed=1), fm_wave(n, seed=2))
+        _, taps = _cancel(white_wave(n, seed=1), fm_wave(n, seed=2))
         assert taps.delay == 0.0
         records = [r for r in caplog.records
                    if r.name == "rfcancel.canceller"]
@@ -277,8 +278,24 @@ class TestCancelAuto:
         r_l = apply_path(src, PathModel(gain=1.2 * np.exp(0.5j), delay=15e-9))
         r_h = apply_path(src, PathModel(gain=0.9, delay=5e-9))
         caplog.set_level(logging.DEBUG, logger="rfcancel")
-        canc.cancel_auto(r_l, r_h, max_lag=50 / FS)
+        _cancel(r_l, r_h)
         assert caplog.records == []
+
+    def test_weak_coherent_reference(self):
+        """A peak between the noise floor, 8/sqrt(N), and 0.2 locates the
+        interference: estimate_delay returns the delay training uses."""
+        n = 1 << 16
+        src = fm_wave(n, seed=8, center_freq=2.4e9)
+        soi = white_wave(n, seed=9, center_freq=2.4e9)
+        r_l = apply_path(src, PathModel(gain=0.1, delay=15e-9))
+        r_l = r_l.with_samples(r_l.samples + soi.samples)
+        r_h = apply_path(src, PathModel(gain=0.9, delay=5e-9))
+        _, peak = canc._xcorr_peak(r_l, r_h, 50)
+        assert 8 / np.sqrt(n) < peak < canc.COHERENCE_THRESHOLD
+        delay = canc.estimate_delay(r_l, r_h, max_lag=50 / FS)
+        assert delay == pytest.approx(10e-9, abs=0.1 / FS)
+        _, taps = _cancel(r_l, r_h)
+        assert taps.delay == delay
 
 
 class TestTrain:
@@ -290,16 +307,21 @@ class TestTrain:
         r_l = r_l.with_samples(r_l.samples + soi.samples)
         return r_l, apply_path(src, PathModel(gain=0.9, delay=d_h))
 
+    @staticmethod
+    def _head(w, n):
+        """The first n samples of w as a record of their own."""
+        return BasebandWaveform(w.samples[:n], w.sample_rate, w.center_freq,
+                                w.invalid_head)
+
     @pytest.mark.parametrize("d_l, d_h", [(15e-9, 5e-9), (5e-9, 15.3e-9)])
     def test_window_taps_match_delayed_window(self, d_l, d_h):
         """Training on the prefix of the one full-length delayed r_H gives
-        the taps of cancel_auto on the window alone, bit for bit, for a
+        the taps of training on the window alone, bit for bit, for a
         positive and a negative delay."""
         r_l, r_h = self._pair(d_l=d_l, d_h=d_h)
         window = 20000
-        head = lambda w: BasebandWaveform(w.samples[:window], w.sample_rate,
-                                          w.center_freq, w.invalid_head, 0)
-        _, want = canc.cancel_auto(head(r_l), head(r_h), max_lag=50 / FS)
+        want, _ = canc.train(self._head(r_l, window), self._head(r_h, window),
+                             window, max_lag=50 / FS)
         taps, ref = canc.train(r_l, r_h, window, max_lag=50 / FS)
         assert taps.delay == want.delay
         assert taps.gain == want.gain
@@ -308,6 +330,17 @@ class TestTrain:
         assert np.array_equal(ref.samples, full.samples)
         assert (ref.invalid_head, ref.invalid_tail) == (
             full.invalid_head, full.invalid_tail)
+
+    def test_whole_record_skips_invalid_tail(self):
+        """A window that reaches the record's end leaves out r_H's invalid
+        tail: the delay and gain are those of the record cut before it."""
+        r_l, r_h = self._pair(d_l=5e-9, d_h=15.3e-9)
+        assert (r_l.invalid_tail, r_h.invalid_tail) == (0, 64)
+        n = len(r_h) - r_h.invalid_tail
+        want, _ = canc.train(self._head(r_l, n), self._head(r_h, n), n,
+                             max_lag=50 / FS)
+        taps, _ = canc.train(r_l, r_h, len(r_l), max_lag=50 / FS)
+        assert (taps.delay, taps.gain) == (want.delay, want.gain)
 
     def test_delays_reference_once(self, monkeypatch):
         r_l, r_h = self._pair()
@@ -319,10 +352,13 @@ class TestTrain:
         assert calls == [len(r_h)]
 
     def test_window_beyond_record(self):
+        """A window past the record's end trains on the whole record, with
+        the numbers of estimate_delay and estimate_gain."""
         r_l, r_h = self._pair(n=1 << 14)
         taps, ref = canc.train(r_l, r_h, 1 << 20, max_lag=50 / FS)
-        _, want = canc.cancel_auto(r_l, r_h, max_lag=50 / FS)
-        assert (taps.delay, taps.gain) == (want.delay, want.gain)
+        delay = canc.estimate_delay(r_l, r_h, max_lag=50 / FS)
+        gain = canc.estimate_gain(r_l, canc.true_time_delay(r_h, delay))
+        assert (taps.delay, taps.gain) == (delay, gain)
         assert len(ref) == len(r_h)
 
 

@@ -242,9 +242,7 @@ class TestMix:
         return MixingScenario(
             a11=PathModel(gain=a11),
             a12=PathModel(gain=a12),
-            a21=PathModel(gain=0.0),
             a22=PathModel(gain=a22),
-            reference_mode=True,
             seed=seed,
         )
 
@@ -295,13 +293,12 @@ class TestMix:
             a11=PathModel(gain=0.9, noise_psd=1e-10),
             a12=PathModel(gain=1.2 * np.exp(0.4j), delay=12.25 / FS,
                           noise_psd=1e-10),
-            a21=PathModel(gain=0.0),
             a22=PathModel(gain=1.1, delay=5 / FS),
-            reference_mode=True, seed=7,
+            seed=7,
         )
         k = 3.7
         images = path_images(soi, intf, sc)
-        assert images.y21 is None and images.n_h is None
+        assert images.n_h is None
         got = received(images, k)
         want = mix(soi, intf.with_samples(k * intf.samples), sc)
         for g, w in zip(got, want):
@@ -317,8 +314,7 @@ class TestMix:
         a = np.array([[1.0, 0.7 * np.exp(0.3j)], [0.0, 1.1 * np.exp(-0.8j)]])
         sc = MixingScenario(
             a11=PathModel(gain=a[0, 0]), a12=PathModel(gain=a[0, 1]),
-            a21=PathModel(gain=a[1, 0]), a22=PathModel(gain=a[1, 1]),
-            reference_mode=True,
+            a22=PathModel(gain=a[1, 1]),
         )
         r_l, r_h = mix(soi, intf, sc)
         obs = np.vstack([r_l.samples, r_h.samples])
@@ -338,23 +334,14 @@ class TestMix:
         with pytest.raises(RateMismatch):
             mix(soi, intf, self._scenario())
 
-    def test_reference_mode_requires_zero_a21(self):
-        with pytest.raises(RfCancelError):
-            MixingScenario(
-                a11=PathModel(gain=1.0), a12=PathModel(gain=1.0),
-                a21=PathModel(gain=0.1), a22=PathModel(gain=1.0),
-                reference_mode=True,
-            )
-
     def test_noise_reproducible_from_scenario_seed(self):
         soi = white_wave(8192, seed=1)
         intf = fm_wave(8192, seed=2)
         sc = MixingScenario(
             a11=PathModel(gain=1.0, noise_psd=1e-10),
             a12=PathModel(gain=1.0),
-            a21=PathModel(gain=0.0),
             a22=PathModel(gain=1.0, noise_psd=1e-10),
-            reference_mode=True, seed=42,
+            seed=42,
         )
         r_l1, r_h1 = mix(soi, intf, sc)
         r_l2, r_h2 = mix(soi, intf, sc)

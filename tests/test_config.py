@@ -104,11 +104,6 @@ class TestConstruction:
         model = cfg.channel.a12.to_model()
         assert abs(model.gain) == pytest.approx(2.0, abs=1e-6)
 
-    def test_a21_forced_zero(self):
-        cfg = from_tree(GOOD)
-        scenario = cfg.channel.to_scenario(0)
-        assert scenario.a21.gain == 0
-
     def test_shipped_configs_validate(self):
         import glob
 

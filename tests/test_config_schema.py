@@ -104,10 +104,34 @@ class TestRules:
         bad = problems(DEFAULT, ("channel", "paths", "a21"), {"zero": False})
         assert [p.split(":")[0] for p in bad] == ["channel.paths.a21"]
 
-    def test_a21_defaults_to_zero(self):
-        tree = mutated(DEFAULT, ("channel", "reference_mode"), False)
-        tree["channel"]["paths"]["a21"] = {"gain_db": -20.0}
-        assert from_tree(tree).channel.to_scenario(0).a21.gain == 0
+    @pytest.mark.parametrize("keys, value", [
+        (("channel", "reference_mode"), False),
+        (("channel", "paths", "a21"), {"zero": True, "gain_db": -20.0}),
+        (("channel", "paths", "a21"), {"zero": 1})])
+    def test_a21_is_always_zero(self, keys, value):
+        """The model has no a21 entry: only the values it implies parse."""
+        bad = problems(DEFAULT, keys, value)
+        assert [p.split(":")[0] for p in bad] == [".".join(keys)]
+        assert "only" in bad[0]
+
+    @pytest.mark.parametrize("keys, value", [
+        (("canceller", "max_lag_s"), 1.0e-3),
+        (("canceller", "training_window"), 80),
+        (("sweep", "train_samples"), 80)])
+    def test_lag_search_below_a_quarter_of_training(self, keys, value,
+                                                    tmp_path, capsys):
+        """max_lag_s is 20 samples: the window and the sweep's training
+        record need more than 80, or the delay search stops the run."""
+        tree = mutated(DEFAULT, keys, value)
+        assert {p.split(":")[0] for p in validate_tree(tree)} == {
+            "canceller.max_lag_s"}
+        path = tmp_path / "lag.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 1
+        assert "canceller.max_lag_s" in capsys.readouterr().err
+        if value == 80:
+            assert problems(DEFAULT, keys, 84) == []
 
     def test_record_over_budget_rejected(self):
         # 40 samples per symbol: the record passes 2**26 samples here
