@@ -286,29 +286,24 @@ def path_images(soi: BasebandWaveform, interference: BasebandWaveform,
     )
 
 
-def _receive_l(images: PathImages, scale: float = 1.0) -> BasebandWaveform:
-    """r_L = y11 + scale*y12 + n_L, with the SOI image's metadata."""
+def received(images: PathImages,
+             scale: float = 1.0) -> tuple[BasebandWaveform, BasebandWaveform]:
+    """r_L = y11 + scale*y12 + n_L, with the SOI image's metadata, and
+    r_H = scale*y22 + n_H, with the interference image's.  At scale 1 a
+    clean r_H is the array y22 itself, not a copy of it."""
     samples = images.y12.samples * scale
     samples += images.y11.samples
     if images.n_l is not None:
         samples += images.n_l
     head, tail = merge_invalid(images.y12, images.y11)
-    return images.y11.with_samples(samples, invalid_head=head,
-                                   invalid_tail=tail)
-
-
-def _receive_h(images: PathImages, scale: float = 1.0) -> BasebandWaveform:
-    """r_H = scale*y22 + n_H, with the interference image's metadata."""
+    r_l = images.y11.with_samples(samples, invalid_head=head,
+                                  invalid_tail=tail)
+    if scale == 1.0 and images.clean_reference:
+        return r_l, images.y22
     samples = images.y22.samples * scale
     if images.n_h is not None:
         samples += images.n_h
-    return images.y22.with_samples(samples)
-
-
-def received(images: PathImages,
-             scale: float = 1.0) -> tuple[BasebandWaveform, BasebandWaveform]:
-    """r_L and r_H with the interference amplitude multiplied by ``scale``."""
-    return _receive_l(images, scale), _receive_h(images, scale)
+    return r_l, images.y22.with_samples(samples)
 
 
 def mix(soi: BasebandWaveform, interference: BasebandWaveform,

@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands map one-to-one onto the runner operations; every experiment is
-described by a YAML scenario file.  Exit codes: 0 success, 1 config error,
-2 runtime error.
+described by a YAML scenario file.  Exit codes: 0 success; 1 config error,
+or a config file that cannot be read; 2 runtime error, a config that cannot
+be decoded, or an artifact path that cannot be written.
 """
 
 from __future__ import annotations
@@ -44,7 +45,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        try:
+            cfg = load_config(args.config)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         if args.seed is not None:
             cfg = with_seed(cfg, args.seed)
         if args.command == "validate-config":
@@ -66,9 +71,6 @@ def main(argv=None) -> int:
         elif args.command == "compare-bss":
             rows = runner.compare_separators(cfg, out_dir)
             _print_rows(rows)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConfigError as exc:
         for item in exc.fields:
             print(f"invalid: {item}", file=sys.stderr)
@@ -77,6 +79,9 @@ def main(argv=None) -> int:
         origin = _originating_module(exc)
         where = f" [{origin}]" if origin else ""
         print(f"error: {type(exc).__name__}{where}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:      # an artifact path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
 

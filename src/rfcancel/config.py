@@ -38,6 +38,9 @@ RECORD_BUDGET = 2**26
 # bound on every dB field: 10**(300/20) amplitude keeps a record's power
 # finite even with a path gain and the ISR both at the bound
 DB_LIMIT = 300.0
+# half-width of the band the frequency sweep measures its depth over,
+# around the probe offset
+PROBE_HALF_BAND_HZ = 5e6
 
 
 @dataclass
@@ -183,6 +186,10 @@ def _db(v):
     return None if abs(v) <= DB_LIMIT else f"must be within +-{DB_LIMIT:g} dB"
 
 
+def _samples(v):
+    return None if 1 <= v <= RECORD_BUDGET else "must be in [1, 2**26]"
+
+
 def _one_of(choices):
     return lambda v: None if v in choices else f"must be one of {choices}"
 
@@ -226,6 +233,8 @@ CHECKS = {
     "sweep.isr_db": _db,
     "sweep.format_isr_db": _db,
     "sweep.formats": _one_of(FORMATS),
+    "sweep.probe_samples": _samples,
+    "sweep.train_samples": _samples,
 }
 
 # accepted Python types and their name in messages; a bool is not a number
@@ -316,6 +325,11 @@ def _cross_checks(cfg: ScenarioConfig) -> list[str]:
                               + 2 * offset):
         bad.append("sim.sample_rate_hz: must exceed twice the interference "
                    "occupied bandwidth")
+    probe = cfg.sweep.probe_offset_hz
+    if abs(probe) + PROBE_HALF_BAND_HZ > sim.sample_rate_hz / 2:
+        bad.append("sweep.probe_offset_hz: |probe_offset_hz| + "
+                   f"{PROBE_HALF_BAND_HZ:g} Hz must be <= sample_rate_hz / 2, "
+                   f"got {probe!r}")
     for name in ("a11", "a12", "a22"):
         response = getattr(chan.paths, name).response
         if response.kind == "butterworth_lowpass":
@@ -345,7 +359,8 @@ def from_tree(tree) -> ScenarioConfig:
 
 
 def load_config(path: str | os.PathLike) -> ScenarioConfig:
-    with open(path, "r") as fh:
+    # bytes: the YAML reader decodes them, and names the file on an error
+    with open(path, "rb") as fh:
         return from_tree(yaml.safe_load(fh))
 
 

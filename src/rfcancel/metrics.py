@@ -86,9 +86,10 @@ def welch_psd(w: BasebandWaveform, seg_len: int = DEFAULT_SEG_LEN,
     if not 0 <= overlap < 1:
         raise InvalidSegment(f"overlap must be in [0, 1), got {overlap}")
     x = w.valid
-    if seg_len > x.size:
+    if not 1 <= seg_len <= x.size:
         raise InvalidSegment(
-            f"segment length {seg_len} exceeds {x.size} valid samples"
+            f"segment length {seg_len} is not within 1..{x.size}, the "
+            "waveform's valid samples"
         )
     window = np.hanning(seg_len)
     win_power = np.sum(window**2)

@@ -24,10 +24,10 @@ from . import canceller as canc
 from . import metrics as met
 # mix is unused here but stays importable as runner.mix
 from .channel import (  # noqa: F401
-    PathImages, _receive_h, _receive_l, apply_path, mix, path_images,
-    path_rngs, received, true_time_delay,
+    MixingScenario, PathImages, apply_path, mix, path_images, path_rngs,
+    received, true_time_delay,
 )
-from .config import ScenarioConfig
+from .config import PROBE_HALF_BAND_HZ, ScenarioConfig
 from .demod import DemodConfig, demodulate, valid_symbol_range
 from .errors import RfCancelError
 from .sigsynth import (
@@ -119,32 +119,6 @@ class DepthPair:
                              taps.gain / self.ref_scale, in_place=True)
 
 
-@dataclass
-class Synthesized:
-    """Everything the canceller stage consumes, plus ground truth.
-
-    ``psd_soi`` and ``psd_int`` are the Welch PSDs of the SOI and of the
-    interference at the record's ISR.  With a clean reference, r_H is the
-    array ``int_reference`` itself.
-    """
-
-    tx_stream: SymbolStream
-    psd_soi: met.PsdEstimate
-    psd_int: met.PsdEstimate
-    soi_image: BasebandWaveform
-    int_image: BasebandWaveform
-    int_reference: BasebandWaveform
-    r_l: BasebandWaveform
-    r_h: BasebandWaveform
-    isr_db_measured: float
-    clean_reference: bool
-
-    def depth_pair(self) -> DepthPair:
-        # the images are scaled in place to r_H's own interference scale
-        return DepthPair(self.int_image, self.int_reference,
-                         1.0 if self.clean_reference else None)
-
-
 def _seed_ints(seed: int, n: int) -> list[int]:
     children = np.random.SeedSequence(seed).spawn(n)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
@@ -200,29 +174,32 @@ def synthesize_sources(cfg: ScenarioConfig,
                    path_images(soi, interference, scenario))
 
 
-def synthesize(cfg: ScenarioConfig) -> Synthesized:
-    """Build the sources and mix them at the configured ISR.
+def _record(src: Sources, scale: float,
+            before_psd: met.PsdEstimate | None = None
+            ) -> tuple[BasebandWaveform, BasebandWaveform, DepthPair]:
+    """r_L and r_H at interference amplitude ``scale``, and the isolated
+    interference pair their depth is measured on; ``before_psd`` is the
+    pair's "before" PSD, when known."""
+    img = src.images
+    r_l, r_h = received(img, scale)
+    return r_l, r_h, DepthPair(img.y12, img.y22,
+                               scale if img.clean_reference else None,
+                               before_psd)
 
-    The interference amplitude is scaled so the spectral-density ratio
-    against the SOI at the SOI carrier equals the configured isr_db; the
-    ratio is measured once on the unit-power sources and the scale applied
-    to the linear path images.
+
+def _configured_record(cfg: ScenarioConfig):
+    """The sources and the interference scale of ``cfg``'s ISR, with the
+    record at that ISR: ``(src, scale, r_l, r_h, pair)``.
+
+    The sources belong to this call alone, so their interference images are
+    scaled in place, rather than kept beside scaled copies: the record is
+    then the one at scale 1.
     """
     src = synthesize_sources(cfg)
     scale = src.scale(cfg.interference.isr_db)
-    # the unit-power images belong to this call alone: scale them in place
-    # rather than keep scaled copies beside them
-    img = src.images
-    for w in (img.y12, img.y22):
+    for w in (src.images.y12, src.images.y22):
         w.samples *= scale
-    r_l = _receive_l(img)
-    # a clean r_H is the scaled interference image itself, not a copy of it
-    r_h = img.y22 if img.clean_reference else _receive_h(img)
-    psd_int = replace(src.psd_int, psd=src.psd_int.psd * scale**2)
-    return Synthesized(src.tx_stream, src.psd_soi, psd_int, img.y11,
-                       img.y12, img.y22, r_l, r_h,
-                       src.base_ratio_db + 20 * math.log10(scale),
-                       img.clean_reference)
+    return (src, scale, *_record(src, 1.0))
 
 
 def _train_taps(cfg: ScenarioConfig, r_l: BasebandWaveform,
@@ -291,6 +268,18 @@ class Measured:
         return math.nan if self.depth is None else self.depth.depth_db
 
 
+def _separate_blind(cfg: ScenarioConfig, r_l: BasebandWaveform,
+                    r_h: BasebandWaveform) -> canc.SeparationResult:
+    """Blind separation of (r_l, r_h), each warning it raises logged on
+    this module's logger."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = canc.bss_separate(r_l, r_h, cfg.canceller.ica)
+    for w in caught:
+        _log.warning("%s: %s", w.category.__name__, w.message)
+    return result
+
+
 def _measure(cfg: ScenarioConfig, mode: str, r_l: BasebandWaveform,
              r_h: BasebandWaveform, tx_stream: SymbolStream,
              pair: DepthPair | None = None) -> Measured:
@@ -312,7 +301,7 @@ def _measure(cfg: ScenarioConfig, mode: str, r_l: BasebandWaveform,
                                        before_psd=pair.before_psd)
         return Measured(estimate, evm_report, rx_trim, depth, taps, residual)
     if mode == "bss":
-        result = canc.bss_separate(r_l, r_h, cfg.canceller.ica)
+        result = _separate_blind(cfg, r_l, r_h)
         result = canc.resolve_permutation(result, r_h)
         estimate = result.outputs[0]
         evm_report, rx_trim = _measure_evm(cfg, estimate, tx_stream)
@@ -325,9 +314,8 @@ def _measure(cfg: ScenarioConfig, mode: str, r_l: BasebandWaveform,
 def run(cfg: ScenarioConfig, out_dir: str | os.PathLike | None = None) -> RunReport:
     """Execute one scenario: synthesize, mix, cancel, demodulate, measure."""
     t0 = time.perf_counter()
-    synth = synthesize(cfg)
-    m = _measure(cfg, cfg.canceller.mode, synth.r_l, synth.r_h,
-                 synth.tx_stream, synth.depth_pair())
+    src, scale, r_l, r_h, pair = _configured_record(cfg)
+    m = _measure(cfg, cfg.canceller.mode, r_l, r_h, src.tx_stream, pair)
     taps_dict = None
     if m.taps is not None:
         taps_dict = {
@@ -340,19 +328,22 @@ def run(cfg: ScenarioConfig, out_dir: str | os.PathLike | None = None) -> RunRep
         mode=cfg.canceller.mode,
         evm_pct=m.evm.evm_rms_pct,
         depth_db=m.depth_db,
-        isr_db_measured=synth.isr_db_measured,
+        isr_db_measured=src.base_ratio_db + 20 * math.log10(scale),
         taps=taps_dict,
         demix=m.demix,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
         seed=cfg.sim.seed,
     )
     if out_dir is not None:
-        _write_artifacts(cfg, synth, m, report, out_dir)
+        _write_artifacts(cfg, src, scale, r_l, r_h, m, report, out_dir)
     return report
 
 
-def _write_artifacts(cfg: ScenarioConfig, synth: Synthesized, m: Measured,
-                     report: RunReport, out_dir) -> None:
+def _write_artifacts(cfg: ScenarioConfig, src: Sources, scale: float,
+                     r_l: BasebandWaveform, r_h: BasebandWaveform,
+                     m: Measured, report: RunReport, out_dir) -> None:
+    """The run's artifacts.  ``src`` holds its interference images scaled
+    by ``scale``, but still the unit-power interference PSD."""
     os.makedirs(out_dir, exist_ok=True)
     kinds = set(cfg.outputs.csv)
     path = lambda name: os.path.join(out_dir, name)
@@ -360,32 +351,33 @@ def _write_artifacts(cfg: ScenarioConfig, synth: Synthesized, m: Measured,
         _atomic_write(path("report.json"), (report.to_json() + "\n").encode())
     if "constellation" in kinds:
         rx = m.rx_trim.symbols
-        tx = synth.tx_stream.symbols[: rx.size]
+        tx = src.tx_stream.symbols[: rx.size]
         energy = np.real(np.vdot(rx, rx))
-        scale = np.vdot(rx, tx) / energy if energy > 0 else 1.0
-        aligned = scale * rx
+        align = np.vdot(rx, tx) / energy if energy > 0 else 1.0
+        aligned = align * rx
         _write_csv(path("constellation.csv"), "symbol_idx,re,im",
                    "%d,%.10e,%.10e", range(rx.size), aligned.real,
                    aligned.imag)
         met.export_evm_csv(m.evm, path("evm_errors.csv"))
     if "psd" in kinds:
-        seg = min(met.DEFAULT_SEG_LEN, len(synth.r_l) // 8)
+        seg = min(met.DEFAULT_SEG_LEN, len(r_l) // 8)
         # the sources' PSDs are the ones synthesis calibrated the ISR on
-        met.export_psd_csv(synth.psd_soi, path("psd_soi.csv"))
-        met.export_psd_csv(synth.psd_int, path("psd_interference.csv"))
-        met.export_psd_csv(met.welch_psd(synth.r_l, seg), path("psd_mixed.csv"))
+        met.export_psd_csv(src.psd_soi, path("psd_soi.csv"))
+        met.export_psd_csv(replace(src.psd_int, psd=src.psd_int.psd * scale**2),
+                           path("psd_interference.csv"))
+        met.export_psd_csv(met.welch_psd(r_l, seg), path("psd_mixed.csv"))
         met.export_psd_csv(met.welch_psd(m.estimate, seg),
                            path("psd_output.csv"))
     if "depth_curve" in kinds and m.depth is not None:
         met.export_depth_csv(m.depth, path("depth_curve.csv"))
     if "waveforms" in kinds:
-        save_waveform(synth.r_l, path("r_l.rcwv"))
-        save_waveform(synth.r_h, path("r_h.rcwv"))
+        save_waveform(r_l, path("r_l.rcwv"))
+        save_waveform(r_h, path("r_h.rcwv"))
         save_waveform(m.estimate, path("output.rcwv"))
         # the depth pair is stored valid-trimmed (the binary format carries
         # no edge-validity metadata) so offline recomputation sees exactly
         # the samples the reported depth was measured on
-        for name, w in (("int_before", synth.int_image),
+        for name, w in (("int_before", src.images.y12),
                         ("int_after", m.residual)):
             if w is not None:
                 save_waveform(w.with_samples(w.valid, invalid_head=0,
@@ -433,14 +425,10 @@ def _fill_row(row: dict, cfg: ScenarioConfig, src: Sources, isr_db: float,
     The record and the estimates die with this call, so one row's arrays
     are freed before the next row allocates its own.
     """
-    scale = src.scale(isr_db)
-    r_l, r_h = received(src.images, scale)
+    r_l, r_h, pair = _record(src, src.scale(isr_db), before_psd)
     row["evm_off_pct"] = _measure(cfg, "off", r_l, r_h,
                                   src.tx_stream).evm.evm_rms_pct
     if on_mode is not None:
-        img = src.images
-        pair = DepthPair(img.y12, img.y22,
-                         scale if img.clean_reference else None, before_psd)
         on = _measure(cfg, on_mode, r_l, r_h, src.tx_stream, pair)
         row["evm_on_pct"] = on.evm.evm_rms_pct
         row["depth_db"] = on.depth_db
@@ -487,6 +475,15 @@ def depth_oracle_db(cfg: ScenarioConfig, taps: canc.CancellerTaps,
     return float(-20 * np.log10(abs(residual)))
 
 
+def _path_pair(w: BasebandWaveform, scenario: MixingScenario
+               ) -> tuple[BasebandWaveform, BasebandWaveform]:
+    """``w`` through a12 and through a22, each path on its own noise
+    stream of the scenario seed."""
+    rngs = path_rngs(scenario)
+    return (apply_path(w, scenario.a12, rngs[1]),
+            apply_path(w, scenario.a22, rngs[3]))
+
+
 def train_sweep_taps(cfg: ScenarioConfig) -> canc.CancellerTaps:
     """One-time training for the frequency sweep.
 
@@ -502,10 +499,7 @@ def train_sweep_taps(cfg: ScenarioConfig) -> canc.CancellerTaps:
                        power=1.0, seed=fm_seed)
     probe = generate_fm_interference(spec, cfg.sweep.train_samples, fs,
                                      center_freq=carrier)
-    scenario = cfg.channel.to_scenario(chan_seed)
-    rngs = path_rngs(scenario)
-    r_l = apply_path(probe, scenario.a12, rngs[1])
-    r_h = apply_path(probe, scenario.a22, rngs[3])
+    r_l, r_h = _path_pair(probe, cfg.channel.to_scenario(chan_seed))
     taps, _ = canc.train(r_l, r_h, len(r_l), cfg.canceller.max_lag_s,
                          cfg.canceller.delay_refine)
     return _taps_error(cfg, taps)
@@ -513,22 +507,25 @@ def train_sweep_taps(cfg: ScenarioConfig) -> canc.CancellerTaps:
 
 def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],
                     out_dir: str | os.PathLike | None = None) -> list[dict]:
-    """Tone-probe cancellation depth across RF carriers with frozen taps."""
+    """Tone-probe cancellation depth across RF carriers with frozen taps.
+
+    The probes' path noise comes from a fourth child of the seed, after
+    the bits, FM and channel streams of the synthesis: every row draws
+    the same noise, and another seed draws other noise.
+    """
     taps = train_sweep_taps(cfg)
     fs = cfg.sim.sample_rate_hz
     offset = cfg.sweep.probe_offset_hz
     n = cfg.sweep.probe_samples
-    scenario = cfg.channel.to_scenario(0)
-    band = (offset - 5e6, offset + 5e6)
+    scenario = cfg.channel.to_scenario(_seed_ints(cfg.sim.seed, 4)[3])
+    band = (offset - PROBE_HALF_BAND_HZ, offset + PROBE_HALF_BAND_HZ)
     seg = min(met.DEFAULT_SEG_LEN, n // 4)
     # the probe's envelope is the same at every carrier
     envelope = np.exp(2j * np.pi * offset * (np.arange(n) / fs))
 
     def fill(row, carrier):
-        tone = BasebandWaveform(envelope, fs, carrier)
-        rngs = path_rngs(scenario)
-        before = apply_path(tone, scenario.a12, rngs[1])
-        reference = apply_path(tone, scenario.a22, rngs[3])
+        before, reference = _path_pair(BasebandWaveform(envelope, fs, carrier),
+                                       scenario)
         after = canc.cancel(before, reference, taps)
         row["depth_db"] = met.cancellation_depth(
             before, after, band, seg_len=seg).depth_db
@@ -572,28 +569,23 @@ def compare_separators(cfg: ScenarioConfig,
     free parameters each method had to estimate.  ``runtime_ms`` spans
     training and subtraction, or blind separation and labelling.
     """
-    synth = synthesize(cfg)
+    src, _, r_l, r_h, _ = _configured_record(cfg)
 
     def fill(row, method):
         t0 = time.perf_counter()
         if method == "reference":
-            taps, delayed = _train_taps(cfg, synth.r_l, synth.r_h)
-            out = canc.subtract(synth.r_l, delayed, taps.gain)
+            taps, delayed = _train_taps(cfg, r_l, r_h)
+            out = canc.subtract(r_l, delayed, taps.gain)
             row.update(iterations=1, free_parameters=2, converged=True)
         else:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                result = canc.bss_separate(synth.r_l, synth.r_h,
-                                           cfg.canceller.ica)
-            for w in caught:
-                _log.warning("%s: %s", w.category.__name__, w.message)
+            result = _separate_blind(cfg, r_l, r_h)
             row.update(iterations=result.iterations,
                        free_parameters=result.free_parameters,
                        converged=result.converged)
-            out = canc.resolve_permutation(result, synth.r_h).outputs[0]
+            out = canc.resolve_permutation(result, r_h).outputs[0]
         row["runtime_ms"] = (time.perf_counter() - t0) * 1e3
-        row["sir_db"] = met.sir_against_truth(out, synth.soi_image,
-                                              synth.int_image)
+        row["sir_db"] = met.sir_against_truth(out, src.images.y11,
+                                              src.images.y12)
 
     return _sweep(["method", "sir_db", "runtime_ms", "iterations",
                    "free_parameters", "converged"],
@@ -604,7 +596,6 @@ __all__ = [
     "DepthPair",
     "RunReport",
     "Sources",
-    "Synthesized",
     "compare_separators",
     "depth_oracle_db",
     "occupied_band",
@@ -612,7 +603,6 @@ __all__ = [
     "sweep_format",
     "sweep_frequency",
     "sweep_isr",
-    "synthesize",
     "synthesize_sources",
     "train_sweep_taps",
 ]

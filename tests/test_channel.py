@@ -306,6 +306,23 @@ class TestMix:
             assert (g.invalid_head, g.invalid_tail) == (w.invalid_head,
                                                         w.invalid_tail)
 
+    def test_clean_reference_at_unit_scale_is_the_image(self):
+        """At scale 1 a clean r_H is the image y22 itself; at another scale,
+        or with noise on r_H, r_H is an array of its own."""
+        soi = white_wave(4096, seed=1)
+        intf = fm_wave(4096, seed=2)
+        images = path_images(soi, intf, self._scenario(a22=1.1))
+        assert images.clean_reference
+        assert received(images, 1.0)[1] is images.y22
+        r_h = received(images, 2.0)[1]
+        assert not np.shares_memory(r_h.samples, images.y22.samples)
+        noisy = self._scenario(a22=1.1)
+        noisy.a22.noise_psd = 1e-10
+        images = path_images(soi, intf, noisy)
+        assert not images.clean_reference
+        r_h = received(images, 1.0)[1]
+        assert not np.shares_memory(r_h.samples, images.y22.samples)
+
     def test_covariance_matches_mixing_matrix(self):
         """Sample covariance of (r_L, r_H) converges to A A^H."""
         n = 1 << 20

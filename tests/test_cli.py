@@ -59,6 +59,18 @@ class TestValidateConfig:
     def test_missing_file(self, capsys):
         assert main(["validate-config", "--config", "/nonexistent.yaml"]) == 1
 
+    def test_directory_exit_1(self, tmp_path, capsys):
+        """A config path that cannot be read fails as a missing one does."""
+        assert main(["validate-config", "--config", str(tmp_path)]) == 1
+        assert str(tmp_path) in capsys.readouterr().err
+
+    def test_undecodable_exit_2(self, tmp_path, capsys):
+        """A config that is not UTF-8 fails as bad YAML does."""
+        path = tmp_path / "latin1.yaml"
+        path.write_bytes("soi: {format: qpsk}  # r\xe9f\n".encode("latin-1"))
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_writes_report(self, tmp_path, capsys):
@@ -97,6 +109,18 @@ class TestRun:
         path = write_cfg(tmp_path, bad)
         assert main(["run", "--config", path,
                      "--out", str(tmp_path / "x")]) == 2
+
+    def test_out_under_a_file_exit_2(self, tmp_path, capsys):
+        """An artifact directory that cannot be made is a runtime error."""
+        path = write_cfg(tmp_path, GOOD)
+        out = str(tmp_path / "scenario.yaml" / "x")
+        assert main(["run", "--config", path, "--out", out]) == 2
+        assert out in capsys.readouterr().err
+
+    def test_out_is_a_file_exit_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, GOOD)
+        assert main(["sweep-isr", "--config", path, "--out", path]) == 2
+        assert path in capsys.readouterr().err
 
     def test_bad_yaml_exit_2(self, tmp_path):
         path = tmp_path / "broken.yaml"

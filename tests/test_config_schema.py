@@ -140,6 +140,31 @@ class TestRules:
         assert [p.split(":")[0] for p in bad] == ["sim.n_symbols"]
         assert problems(DEFAULT, ("sim", "n_symbols"), n - 16) == []
 
+    @pytest.mark.parametrize("key, value", [
+        ("probe_samples", -5), ("probe_samples", 0),
+        ("probe_samples", 10**12), ("train_samples", 0),
+        ("train_samples", 10**12), ("probe_offset_hz", 1.0e12),
+        ("probe_offset_hz", -95.1e6)])
+    def test_sweep_section_bounded(self, key, value, tmp_path, capsys):
+        """Sample counts lie in [1, 2**26], and the probe's depth band,
+        5 MHz either side of its offset, inside the sampled band."""
+        tree = mutated(SHIPPED["spectral_response.yaml"], ("sweep", key), value)
+        assert [p.split(":")[0] for p in validate_tree(tree)] == [
+            f"sweep.{key}"]
+        path = tmp_path / "sweep.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        assert main(["sweep-freq", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 1
+        assert f"sweep.{key}" in capsys.readouterr().err
+
+    def test_sweep_section_bounds_inclusive(self):
+        tree = SHIPPED["spectral_response.yaml"]
+        rate = tree["sim"]["sample_rate_hz"]
+        for key, value in (("probe_samples", 1),
+                           ("train_samples", RECORD_BUDGET),
+                           ("probe_offset_hz", -(rate / 2 - 5e6))):
+            assert problems(tree, ("sweep", key), value) == []
+
     def test_sixteenfold_record_within_budget(self):
         tree = SHIPPED["evm_vs_isr.yaml"]
         span = tree["soi"]["span_symbols"]

@@ -46,6 +46,16 @@ class TestWelchPsd:
         with pytest.raises(InvalidSegment):
             met.welch_psd(w, seg_len=2048)
 
+    @pytest.mark.parametrize("seg_len, valid", [(0, 1024), (-4, 1024),
+                                                (4, 0)])
+    def test_empty_segment(self, seg_len, valid):
+        """An empty segment, or a waveform with no valid samples, is an
+        InvalidSegment, not numpy's own error."""
+        w = white_wave(1024)
+        w = w.with_samples(w.samples, invalid_head=1024 - valid)
+        with pytest.raises(InvalidSegment):
+            met.welch_psd(w, seg_len=seg_len)
+
     def test_bad_overlap(self):
         w = white_wave(4096)
         with pytest.raises(InvalidSegment):

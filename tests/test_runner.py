@@ -88,6 +88,18 @@ class TestRun:
         assert rep.evm_pct < 15
         assert rep.demix is not None
 
+    def test_bss_mode_logs_warnings(self, caplog):
+        """The blind separator's warnings reach the rfcancel logger in
+        ``run`` too, not as bare Python warnings."""
+        tree = copy.deepcopy(BASE_TREE)
+        tree["canceller"]["mode"] = "bss"
+        tree["canceller"]["ica"] = {"max_iter": 1}
+        caplog.set_level(logging.WARNING, logger="rfcancel")
+        runner.run(from_tree(tree))
+        logged = [r.getMessage() for r in caplog.records
+                  if r.name.startswith("rfcancel")]
+        assert any(m.startswith("NotConvergedWarning: ") for m in logged)
+
     def test_isr_calibration_tracks_config(self, cfg):
         for isr in (-10.0, 5.0):
             c = replace(cfg, interference=replace(cfg.interference, isr_db=isr))
@@ -163,16 +175,14 @@ class TestRun:
         """The residual formed in the delayed r_H's buffer is, bit for bit,
         the ground-truth pair cancelled on its own."""
         cfg = load_config(CONFIG_DIR / "default.yaml")
-        synth = runner.synthesize(cfg)
-        m = runner._measure(cfg, "reference", synth.r_l, synth.r_h,
-                            synth.tx_stream, synth.depth_pair())
-        want = canc.cancel(synth.int_image, synth.int_reference, m.taps)
+        src, _, r_l, r_h, pair = runner._configured_record(cfg)
+        m = runner._measure(cfg, "reference", r_l, r_h, src.tx_stream, pair)
+        want = canc.cancel(src.images.y12, src.images.y22, m.taps)
         assert np.array_equal(m.residual.samples, want.samples)
         assert (m.residual.invalid_head, m.residual.invalid_tail) == (
             want.invalid_head, want.invalid_tail)
         assert np.array_equal(m.estimate.samples,
-                              canc.cancel(synth.r_l, synth.r_h,
-                                          m.taps).samples)
+                              canc.cancel(r_l, r_h, m.taps).samples)
 
     def test_depth_curve_is_the_measured_depth(self, cfg, tmp_path,
                                                monkeypatch):
@@ -180,10 +190,10 @@ class TestRun:
         run with every artifact kind computes six Welch PSDs: two in
         synthesis, two for the depth and two for the PSD artifacts (the
         sources' PSDs are the synthesis ones)."""
-        synth = runner.synthesize(cfg)
-        taps, _ = runner._train_taps(cfg, synth.r_l, synth.r_h)
-        residual = canc.cancel(synth.int_image, synth.int_reference, taps)
-        want = met.cancellation_depth(synth.int_image, residual,
+        src, _, r_l, r_h, _ = runner._configured_record(cfg)
+        taps, _ = runner._train_taps(cfg, r_l, r_h)
+        residual = canc.cancel(src.images.y12, src.images.y22, taps)
+        want = met.cancellation_depth(src.images.y12, residual,
                                       runner.occupied_band(cfg),
                                       per_frequency=True)
         met.export_depth_csv(want, tmp_path / "want.csv")
@@ -200,9 +210,11 @@ class TestRun:
         """psd_soi.csv and psd_interference.csv export the PSDs synthesis
         calibrated the ISR on, at the record's ISR."""
         runner.run(cfg, tmp_path / "run")
-        synth = runner.synthesize(cfg)
-        met.export_psd_csv(synth.psd_soi, tmp_path / "soi.csv")
-        met.export_psd_csv(synth.psd_int, tmp_path / "int.csv")
+        src = runner.synthesize_sources(cfg)
+        scale = src.scale(cfg.interference.isr_db)
+        met.export_psd_csv(src.psd_soi, tmp_path / "soi.csv")
+        met.export_psd_csv(replace(src.psd_int, psd=src.psd_int.psd * scale**2),
+                           tmp_path / "int.csv")
         for got, want in (("psd_soi.csv", "soi.csv"),
                           ("psd_interference.csv", "int.csv")):
             assert ((tmp_path / "run" / got).read_bytes()
@@ -264,40 +276,38 @@ class TestGroundTruth:
 
         monkeypatch.setattr(runner, "path_images", record_images)
         monkeypatch.setattr(runner, "synthesize_sources", record_sources)
-        synth = runner.synthesize(noisy)
+        img = runner._configured_record(noisy)[0].images
         soi = seen["soi"]
         scale = seen["src"].scale(noisy.interference.isr_db)
         interference = seen["interference"].with_samples(
             seen["interference"].samples * scale)
         scenario = noisy.channel.to_scenario(0)
         clean = lambda w, p: apply_path(w, replace(p, noise_psd=0.0))
-        self._close(synth.soi_image, clean(soi, scenario.a11))
-        self._close(synth.int_image, clean(interference, scenario.a12))
-        self._close(synth.int_reference, clean(interference, scenario.a22))
+        self._close(img.y11, clean(soi, scenario.a11))
+        self._close(img.y12, clean(interference, scenario.a12))
+        self._close(img.y22, clean(interference, scenario.a22))
 
     def test_clean_reference_is_the_image(self, cfg, noisy):
         """A clean r_H is the interference image's own array; with noise on
         a22, r_H is an array of its own."""
-        synth = runner.synthesize(cfg)
-        assert synth.clean_reference
-        assert np.shares_memory(synth.r_h.samples,
-                                synth.int_reference.samples)
-        synth = runner.synthesize(noisy)
-        assert not synth.clean_reference
-        assert not np.shares_memory(synth.r_h.samples,
-                                    synth.int_reference.samples)
+        src, _, _, r_h, _ = runner._configured_record(cfg)
+        assert src.images.clean_reference
+        assert np.shares_memory(r_h.samples, src.images.y22.samples)
+        src, _, _, r_h, _ = runner._configured_record(noisy)
+        assert not src.images.clean_reference
+        assert not np.shares_memory(r_h.samples, src.images.y22.samples)
 
     def test_reference_noise_is_the_a22_draw(self, noisy):
-        synth = runner.synthesize(noisy)
+        src, _, _, r_h, _ = runner._configured_record(noisy)
         chan_seed = runner._seed_ints(noisy.sim.seed, 3)[2]
         stream = np.random.SeedSequence(chan_seed).spawn(4)[3]
         rng = np.random.default_rng(stream)
-        n = len(synth.r_h)
+        n = len(r_h)
         sigma = math.sqrt(self.NOISE_PSD * noisy.sim.sample_rate_hz / 2)
         draw = sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        got = synth.r_h.samples - synth.int_reference.samples
+        got = r_h.samples - src.images.y22.samples
         assert np.max(np.abs(got - draw)) <= 1e-12 * np.max(
-            np.abs(synth.int_reference.samples))
+            np.abs(src.images.y22.samples))
 
 
 class TestSweepIsr:
@@ -415,6 +425,33 @@ class TestSweepFrequency:
             corr = abs(np.vdot(n_l, n_h)) / (np.linalg.norm(n_l)
                                              * np.linalg.norm(n_h))
             assert corr < 0.1
+
+
+    def test_probe_noise_follows_the_seed(self, monkeypatch):
+        """The probes draw their path noise from the run's seed: another
+        seed probes with other noise, the same seed with the same."""
+        tree = copy.deepcopy(BASE_TREE)
+        tree["channel"]["paths"]["a12"]["noise_psd"] = 1e-9
+        tree["sweep"] = {"train_samples": 16384}
+        cfg = from_tree(tree)
+        noise = []
+
+        def recording(w, p, rng=None):
+            out = apply_path(w, p, rng)
+            noise.append(out.samples - apply_path(
+                w, replace(p, noise_psd=0.0)).samples)
+            return out
+
+        monkeypatch.setattr(runner, "apply_path", recording)
+        probes = []
+        for seed in (1, 2, 1):
+            noise.clear()
+            runner.sweep_frequency(replace(cfg, sim=replace(cfg.sim,
+                                                            seed=seed)),
+                                   [2.4e9])
+            probes.append(noise[2])     # the probe's a12 noise
+        assert not np.allclose(probes[0], probes[1])
+        assert np.array_equal(probes[0], probes[2])
 
 
 class TestSweepFormat:
