@@ -26,7 +26,9 @@ from .errors import (
     RfCancelError,
     UnseparableWarning,
 )
-from .waveform import BasebandWaveform, check_aligned, merge_invalid
+from .waveform import (
+    BasebandWaveform, check_aligned, common_valid, merge_invalid,
+)
 
 # the correlation below which resolve_permutation finds no interference
 COHERENCE_THRESHOLD = 0.2
@@ -77,13 +79,10 @@ def _xcorr_peak(r_l: BasebandWaveform, r_h: BasebandWaveform,
     """(refined lag in samples, normalized peak magnitude) of the
     cross-correlation, restricted to |lag| <= max_lag_samples.
 
-    Both waveforms are trimmed by their common invalid margins so the lag
-    axis stays aligned with the original sample grid.
+    Both waveforms are read over their common valid span, so the lag axis
+    stays aligned with the original sample grid.
     """
-    head, tail = merge_invalid(r_l, r_h)
-    stop = len(r_l) - tail
-    x = r_l.samples[head:stop]
-    y = r_h.samples[head:stop]
+    x, y = common_valid(r_l, r_h)
     n = x.size
     if 0 < max_lag_samples <= 64 and n > 4 * max_lag_samples:
         # small physical search ranges: direct correlation beats the FFT
@@ -140,10 +139,9 @@ def estimate_delay(r_l: BasebandWaveform, r_h: BasebandWaveform,
 
 
 def refine_delay_by_residual(r_l: BasebandWaveform, r_h: BasebandWaveform,
-                             coarse_delay: float,
-                             span_samples: float = 1.0) -> float:
-    """Polish a delay estimate by maximizing the normalized correlation of
-    r_L against the continuously delayed reference.
+                             coarse_delay: float) -> float:
+    """Polish a delay estimate within +-1 sample by maximizing the normalized
+    correlation of r_L against the continuously delayed reference.
 
     Frequency-sweep scenarios need delay matching far below the 0.05-sample
     accuracy of the parabolic stage (picoseconds at GHz carriers), so this
@@ -169,7 +167,7 @@ def refine_delay_by_residual(r_l: BasebandWaveform, r_h: BasebandWaveform,
     # the only scipy import in the package, paid by residual refinement only
     from scipy import optimize
 
-    half = span_samples / fs
+    half = 1.0 / fs
     res = optimize.minimize_scalar(
         neg_corr,
         bounds=(coarse_delay - half, coarse_delay + half),
@@ -185,11 +183,7 @@ def estimate_gain(r_l: BasebandWaveform, ref: BasebandWaveform) -> complex:
     ``ref`` is r_H already delayed by the taps' delay, as ``subtract``
     takes it, so the estimate plugs straight into CancellerTaps.
     """
-    check_aligned(r_l, ref)
-    head, tail = merge_invalid(r_l, ref)
-    stop = len(r_l) - tail
-    a = r_l.samples[head:stop]
-    b = ref.samples[head:stop]
+    a, b = common_valid(r_l, ref)
     energy = np.real(np.vdot(b, b))
     if energy == 0:
         raise DegenerateReference("reference signal has zero energy")
@@ -375,17 +369,15 @@ def resolve_permutation(result: SeparationResult,
                         reference: BasebandWaveform) -> SeparationResult:
     """Label BSS outputs using the interference reference.
 
-    The output most correlated with the reference is the interference; the
-    other becomes outputs[0], the SOI estimate, rescaled to unit power.
+    The output most correlated with the reference, over their common valid
+    span, is the interference; the other becomes outputs[0], the SOI
+    estimate, rescaled to unit power.
     """
     if len(result.outputs) != 2:
         raise RfCancelError("permutation resolution needs two outputs")
-    ref = reference.valid
     corrs = []
     for out in result.outputs:
-        v = out.samples[: len(reference)]
-        n = min(v.size, ref.size)
-        a, b = v[:n], ref[:n]
+        a, b = common_valid(out, reference)
         denom = np.linalg.norm(a) * np.linalg.norm(b)
         corrs.append(abs(np.vdot(b, a)) / denom if denom > 0 else 0.0)
     if max(corrs) < COHERENCE_THRESHOLD:

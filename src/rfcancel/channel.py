@@ -93,20 +93,18 @@ class MixingScenario:
     seed: int = 0
 
 
-def _interp_kernel(frac: float, taps: int = INTERP_TAPS,
-                   beta: float = INTERP_BETA) -> np.ndarray:
+def _interp_kernel(frac: float) -> np.ndarray:
     """Windowed-sinc fractional-delay filter for 0 < frac < 1.
 
-    The kernel's group delay is taps//2 + frac samples; callers compensate
-    the integer part.  The Kaiser window is evaluated continuously, centred
-    on the fractional target, so the response stays symmetric about the
-    actual delay.
+    The kernel's group delay is INTERP_TAPS//2 + frac samples; callers
+    compensate the integer part.  The Kaiser window (INTERP_BETA) is
+    evaluated continuously, centred on the fractional target, so the
+    response stays symmetric about the actual delay.
     """
-    center = taps // 2
-    x = np.arange(taps + 1) - center - frac
-    half = taps / 2 + 1.0
-    arg = 1.0 - (x / half) ** 2
-    window = np.where(arg > 0, np.i0(beta * np.sqrt(np.clip(arg, 0, None))), 0.0)
+    x = np.arange(INTERP_TAPS + 1) - INTERP_TAPS // 2 - frac
+    arg = 1.0 - (x / (INTERP_TAPS / 2 + 1.0)) ** 2
+    root = np.sqrt(np.clip(arg, 0, None))
+    window = np.where(arg > 0, np.i0(INTERP_BETA * root), 0.0)
     # the window's 1/i0(beta) scale cancels in the unit-DC-gain division
     h = np.sinc(x) * window
     return h / np.sum(h)

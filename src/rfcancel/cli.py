@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 import yaml
@@ -56,6 +57,8 @@ def main(argv=None) -> int:
             print(f"{args.config}: ok")
             return 0
         out_dir = args.out or cfg.outputs.directory
+        # made before any work, so a path that cannot hold it fails at once
+        os.makedirs(out_dir, exist_ok=True)
         if args.command == "run":
             report = runner.run(cfg, out_dir)
             print(report.to_json())

@@ -28,7 +28,6 @@ class DemodConfig:
     rolloff: float = 0.2
     span_symbols: int = 16
     timing_offset: float = 0.0  # samples, ground truth from the scenario
-    symbol_rate: float | None = None
 
     def __post_init__(self):
         if self.sps < 2:
@@ -82,8 +81,7 @@ def demodulate(w: BasebandWaveform, cfg: DemodConfig) -> SymbolStream:
     if inside < n:
         symbols = np.concatenate(
             [symbols, _polyphase(x[inside * sps:], taps, n - inside)])
-    rate = cfg.symbol_rate or w.sample_rate / cfg.sps
-    return SymbolStream(symbols, cfg.format, rate)
+    return SymbolStream(symbols, cfg.format, w.sample_rate / sps)
 
 
 def _polyphase(x: np.ndarray, taps: np.ndarray, n: int) -> np.ndarray:

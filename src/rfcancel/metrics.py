@@ -1,12 +1,16 @@
 """Measurements: Welch PSDs, interference-to-SOI ratio, cancellation depth
 and data-aided EVM.
 
-Conventions fixed here for reproducibility: PSDs are two-sided Hann-windowed
-Welch estimates with 50% overlap and 4096-sample segments by default; EVM is
-data-aided with a single least-squares complex-gain alignment and normalized
-to the RMS of the ideal constellation; band depth is the ratio of
-band-integrated PSDs (what a spectrum-analyzer marker comparison reports),
-never a per-bin average of dB values.
+Conventions fixed here, and only here, for reproducibility: PSDs are
+two-sided Hann-windowed Welch estimates with 50% overlap over
+``segment_length`` samples (4096, fewer on a record shorter than four
+segments or with fewer valid samples), and a depth's two PSDs share the
+pair's segment; EVM is data-aided with a single least-squares complex-gain
+alignment and normalized to the RMS of the ideal constellation; band depth
+is the ratio of band-integrated PSDs (what a spectrum-analyzer marker
+comparison reports), never a per-bin average of dB values, and always comes
+with its per-bin curve; sample-paired measures read the span valid in all
+their inputs (``waveform.common_valid``).
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidLength, InvalidSegment, OutOfBand, RateMismatch
 from .sigsynth import SymbolStream, constellation
-from .waveform import BasebandWaveform, _write_csv
+from .waveform import BasebandWaveform, _write_csv, common_valid
 
 DEFAULT_SEG_LEN = 4096
-DEFAULT_OVERLAP = 0.5
 # equivalent noise bandwidth of the Hann window, in bins
 _HANN_ENBW = 1.5
 
@@ -67,24 +70,30 @@ class EvmReport:
 
 @dataclass
 class DepthReport:
-    """Band-integrated cancellation depth, optionally with a per-bin curve."""
+    """Band-integrated cancellation depth and its per-bin curve."""
 
     depth_db: float
     band: tuple[float, float]
-    freqs: np.ndarray | None = None
-    curve_db: np.ndarray | None = None
+    freqs: np.ndarray
+    curve_db: np.ndarray
     saturated: bool = False
 
 
-def welch_psd(w: BasebandWaveform, seg_len: int = DEFAULT_SEG_LEN,
-              overlap: float = DEFAULT_OVERLAP) -> PsdEstimate:
-    """Hann-windowed, overlap-averaged, window-power-compensated periodogram.
+def segment_length(*waves: BasebandWaveform) -> int:
+    """The Welch segment of the waveforms' PSDs: DEFAULT_SEG_LEN, cut to a
+    quarter of the shortest record and to its fewest valid samples."""
+    return min(min(DEFAULT_SEG_LEN, len(w) // 4, w.valid.size) for w in waves)
+
+
+def welch_psd(w: BasebandWaveform, seg_len: int | None = None) -> PsdEstimate:
+    """Hann-windowed, 50%-overlap-averaged, window-power-compensated
+    periodogram over ``seg_len`` samples (default ``segment_length(w)``).
 
     Satisfies Parseval within 1%: sum(psd) * df equals the mean power of the
     analyzed (valid) samples.
     """
-    if not 0 <= overlap < 1:
-        raise InvalidSegment(f"overlap must be in [0, 1), got {overlap}")
+    if seg_len is None:
+        seg_len = segment_length(w)
     x = w.valid
     if not 1 <= seg_len <= x.size:
         raise InvalidSegment(
@@ -93,7 +102,7 @@ def welch_psd(w: BasebandWaveform, seg_len: int = DEFAULT_SEG_LEN,
         )
     window = np.hanning(seg_len)
     win_power = np.sum(window**2)
-    hop = max(1, int(round(seg_len * (1 - overlap))))
+    hop = max(1, round(seg_len / 2))
     frames = sliding_window_view(x, seg_len)[::hop]
     n_seg = frames.shape[0]
     acc = np.zeros(seg_len)
@@ -133,17 +142,14 @@ def isr_at(soi_psd: PsdEstimate, int_psd: PsdEstimate, f: float) -> float:
 
 def cancellation_depth(before: BasebandWaveform, after: BasebandWaveform,
                        band: tuple[float, float],
-                       seg_len: int = DEFAULT_SEG_LEN,
-                       overlap: float = DEFAULT_OVERLAP,
-                       per_frequency: bool = False,
                        before_psd: PsdEstimate | None = None) -> DepthReport:
-    """dB reduction of band-integrated power from before to after.
+    """dB reduction of band-integrated power from before to after, with the
+    bin-wise depth curve over the band.
 
-    ``per_frequency=True`` adds the bin-wise depth curve over the band.
     Zero residual power saturates at the numeric floor and sets the
     ``saturated`` flag.  ``before_psd`` is ``welch_psd(before)`` when the
-    caller already has it; it stands in for that PSD when its segment
-    length is the one this call picks, and is recomputed otherwise.
+    caller already has it; it stands in for that PSD when its segment is
+    the pair's ``segment_length``, and is recomputed otherwise.
     """
     if before.sample_rate != after.sample_rate:
         raise RateMismatch(
@@ -153,23 +159,20 @@ def cancellation_depth(before: BasebandWaveform, after: BasebandWaveform,
     lo, hi = band
     if lo >= hi or lo < -nyq or hi > nyq:
         raise OutOfBand(f"band {band} not inside (+-{nyq:.3g} Hz)")
-    seg = min(seg_len, before.valid.size, after.valid.size)
+    seg = segment_length(before, after)
     p_b = before_psd
     if p_b is None or p_b.psd.size != seg:
-        p_b = welch_psd(before, seg, overlap)
-    p_a = welch_psd(after, seg, overlap)
+        p_b = welch_psd(before, seg)
+    p_a = welch_psd(after, seg)
     pow_b = p_b.band_power(band)
     pow_a = p_a.band_power(band)
     saturated = pow_a <= 0.0
     floor = np.finfo(float).tiny
     depth = 10.0 * math.log10(max(pow_b, floor) / max(pow_a, floor))
-    report = DepthReport(depth, band, saturated=saturated)
-    if per_frequency:
-        mask = (p_b.freqs >= lo) & (p_b.freqs <= hi)
-        ratio = np.maximum(p_b.psd[mask], floor) / np.maximum(p_a.psd[mask], floor)
-        report.freqs = p_b.freqs[mask]
-        report.curve_db = 10.0 * np.log10(ratio)
-    return report
+    mask = (p_b.freqs >= lo) & (p_b.freqs <= hi)
+    ratio = np.maximum(p_b.psd[mask], floor) / np.maximum(p_a.psd[mask], floor)
+    return DepthReport(depth, band, p_b.freqs[mask], 10.0 * np.log10(ratio),
+                       saturated)
 
 
 def evm(rx_symbols: SymbolStream, tx_symbols: SymbolStream) -> EvmReport:
@@ -206,12 +209,7 @@ def sir_against_truth(output: BasebandWaveform, target: BasebandWaveform,
     whatever does not project onto the target (the other source plus any
     distortion) counts against it.  Simulator-side ground-truth oracle.
     """
-    n = min(len(output), len(target), len(other))
-    head = max(output.invalid_head, target.invalid_head, other.invalid_head)
-    tail = max(output.invalid_tail, target.invalid_tail, other.invalid_tail)
-    y = output.samples[head: n - tail]
-    s = target.samples[head: n - tail]
-    i = other.samples[head: n - tail]
+    y, s, i = common_valid(output, target, other)
     basis = np.vstack([s, i]).T
     coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
     wanted = coef[0] * s
@@ -237,15 +235,12 @@ def export_evm_csv(report: EvmReport, path: str | os.PathLike) -> None:
 
 
 def export_depth_csv(report: DepthReport, path: str | os.PathLike) -> None:
-    """freq_hz,depth_db rows (per-frequency curve required)."""
-    if report.freqs is None or report.curve_db is None:
-        raise InvalidLength("depth report has no per-frequency curve")
+    """freq_hz,depth_db rows."""
     _write_csv(path, "freq_hz,depth_db", "%.10e,%.10e", report.freqs,
                report.curve_db)
 
 
 __all__ = [
-    "DEFAULT_OVERLAP",
     "DEFAULT_SEG_LEN",
     "DepthReport",
     "EvmReport",
@@ -256,6 +251,7 @@ __all__ = [
     "export_evm_csv",
     "export_psd_csv",
     "isr_at",
+    "segment_length",
     "sir_against_truth",
     "welch_psd",
 ]

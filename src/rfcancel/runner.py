@@ -83,12 +83,6 @@ class Sources:
         """Interference amplitude that puts it isr_db above the SOI."""
         return 10 ** ((isr_db - self.base_ratio_db) / 20.0)
 
-    def depth_before(self) -> met.PsdEstimate:
-        """Welch PSD of the unit-power interference image on r_L: the
-        depth's "before" at every ISR."""
-        y12 = self.images.y12
-        return met.welch_psd(y12, min(met.DEFAULT_SEG_LEN, y12.valid.size))
-
 
 @dataclass
 class DepthPair:
@@ -149,8 +143,7 @@ def synthesize_sources(cfg: ScenarioConfig,
     soi = generate_soi(stream, cfg.sps, cfg.soi.rolloff,
                        cfg.soi.span_symbols, center_freq=cfg.soi.carrier_hz,
                        power=cfg.soi.power)
-    seg = min(met.DEFAULT_SEG_LEN, len(soi) // 8)
-    psd_soi = met.welch_psd(soi, seg)
+    psd_soi = met.welch_psd(soi)
     scenario = cfg.channel.to_scenario(chan_seed)
     if share is not None:
         return Sources(stream, psd_soi, share.psd_int,
@@ -168,7 +161,7 @@ def synthesize_sources(cfg: ScenarioConfig,
         interference = interference.with_samples(
             interference.samples * np.exp(2j * np.pi * offset * t)
         )
-    psd_int = met.welch_psd(interference, seg)
+    psd_int = met.welch_psd(interference)
     return Sources(stream, psd_soi, psd_int,
                    met.isr_at(psd_soi, psd_int, 0.0),
                    path_images(soi, interference, scenario))
@@ -238,7 +231,6 @@ def _measure_evm(cfg: ScenarioConfig, estimate: BasebandWaveform,
         rolloff=cfg.soi.rolloff,
         span_symbols=cfg.soi.span_symbols,
         timing_offset=cfg.channel.a11.delay_s * cfg.sim.sample_rate_hz,
-        symbol_rate=cfg.soi.symbol_rate_hz,
     )
     rx = demodulate(estimate, dcfg)
     first, last = valid_symbol_range(estimate, dcfg)
@@ -258,7 +250,7 @@ class Measured:
     estimate: BasebandWaveform
     evm: met.EvmReport
     rx_trim: SymbolStream
-    depth: met.DepthReport | None = None       # with its per-bin curve
+    depth: met.DepthReport | None = None       # reference mode only
     taps: canc.CancellerTaps | None = None
     residual: BasebandWaveform | None = None   # interference after the taps
     demix: list | None = None
@@ -297,8 +289,7 @@ def _measure(cfg: ScenarioConfig, mode: str, r_l: BasebandWaveform,
         # the estimate is formed, so the residual may take over delayed
         residual = pair.residual(taps, delayed)
         depth = met.cancellation_depth(pair.image, residual,
-                                       occupied_band(cfg), per_frequency=True,
-                                       before_psd=pair.before_psd)
+                                       occupied_band(cfg), pair.before_psd)
         return Measured(estimate, evm_report, rx_trim, depth, taps, residual)
     if mode == "bss":
         result = _separate_blind(cfg, r_l, r_h)
@@ -360,14 +351,12 @@ def _write_artifacts(cfg: ScenarioConfig, src: Sources, scale: float,
                    aligned.imag)
         met.export_evm_csv(m.evm, path("evm_errors.csv"))
     if "psd" in kinds:
-        seg = min(met.DEFAULT_SEG_LEN, len(r_l) // 8)
         # the sources' PSDs are the ones synthesis calibrated the ISR on
         met.export_psd_csv(src.psd_soi, path("psd_soi.csv"))
         met.export_psd_csv(replace(src.psd_int, psd=src.psd_int.psd * scale**2),
                            path("psd_interference.csv"))
-        met.export_psd_csv(met.welch_psd(r_l, seg), path("psd_mixed.csv"))
-        met.export_psd_csv(met.welch_psd(m.estimate, seg),
-                           path("psd_output.csv"))
+        met.export_psd_csv(met.welch_psd(r_l), path("psd_mixed.csv"))
+        met.export_psd_csv(met.welch_psd(m.estimate), path("psd_output.csv"))
     if "depth_curve" in kinds and m.depth is not None:
         met.export_depth_csv(m.depth, path("depth_curve.csv"))
     if "waveforms" in kinds:
@@ -420,7 +409,8 @@ def _fill_row(row: dict, cfg: ScenarioConfig, src: Sources, isr_db: float,
               before_psd: met.PsdEstimate | None = None) -> None:
     """Fill a sweep row's evm_off_pct and, when ``on_mode`` is set, its
     evm_on_pct and depth_db, from the record at isr_db.  ``before_psd`` is
-    ``src.depth_before()``, which every row of a sweep shares.
+    the Welch PSD of the unit-power ``src.images.y12``, the depth's
+    "before" that every row of a sweep shares.
 
     The record and the estimates die with this call, so one row's arrays
     are freed before the next row allocates its own.
@@ -450,7 +440,7 @@ def sweep_isr(cfg: ScenarioConfig, isr_list: list[float],
         if src is None:
             src = synthesize_sources(cfg)
             if on_mode == "reference":
-                before = src.depth_before()
+                before = met.welch_psd(src.images.y12)
         _fill_row(row, cfg, src, isr, on_mode, before)
 
     return _sweep(["isr_db", "evm_off_pct", "evm_on_pct", "depth_db"],
@@ -519,7 +509,6 @@ def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],
     n = cfg.sweep.probe_samples
     scenario = cfg.channel.to_scenario(_seed_ints(cfg.sim.seed, 4)[3])
     band = (offset - PROBE_HALF_BAND_HZ, offset + PROBE_HALF_BAND_HZ)
-    seg = min(met.DEFAULT_SEG_LEN, n // 4)
     # the probe's envelope is the same at every carrier
     envelope = np.exp(2j * np.pi * offset * (np.arange(n) / fs))
 
@@ -527,8 +516,7 @@ def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],
         before, reference = _path_pair(BasebandWaveform(envelope, fs, carrier),
                                        scenario)
         after = canc.cancel(before, reference, taps)
-        row["depth_db"] = met.cancellation_depth(
-            before, after, band, seg_len=seg).depth_db
+        row["depth_db"] = met.cancellation_depth(before, after, band).depth_db
         row["oracle_db"] = depth_oracle_db(cfg, taps, carrier + offset)
 
     return _sweep(["carrier_hz", "depth_db", "oracle_db"],
@@ -554,7 +542,7 @@ def sweep_format(cfg: ScenarioConfig, formats: list[str],
         if shared is None:
             shared = src
             if cfg.canceller.mode == "reference":
-                before = src.depth_before()
+                before = met.welch_psd(src.images.y12)
         _fill_row(row, row_cfg, src, isr, cfg.canceller.mode, before)
 
     return _sweep(["format", "evm_on_pct", "evm_off_pct", "depth_db"],

@@ -89,14 +89,24 @@ def merge_invalid(*waves: BasebandWaveform) -> tuple[int, int]:
     return head, tail
 
 
-def check_aligned(a: BasebandWaveform, b: BasebandWaveform) -> None:
-    """Raise RateMismatch unless ``a`` and ``b`` share a sample rate and a
-    length, so that their samples pair up one for one."""
-    if a.sample_rate != b.sample_rate:
-        raise RateMismatch(f"sample rates differ: {a.sample_rate} vs "
-                           f"{b.sample_rate}")
-    if len(a) != len(b):
-        raise RateMismatch(f"lengths differ: {len(a)} vs {len(b)}")
+def check_aligned(a: BasebandWaveform, *others: BasebandWaveform) -> None:
+    """Raise RateMismatch unless all the waveforms share a sample rate and
+    a length, so that their samples pair up one for one."""
+    for b in others:
+        if a.sample_rate != b.sample_rate:
+            raise RateMismatch(f"sample rates differ: {a.sample_rate} vs "
+                               f"{b.sample_rate}")
+        if len(a) != len(b):
+            raise RateMismatch(f"lengths differ: {len(a)} vs {len(b)}")
+
+
+def common_valid(*waves: BasebandWaveform) -> tuple[np.ndarray, ...]:
+    """Each aligned waveform's samples over the span valid in all of them:
+    views that pair up one for one.  Raises RateMismatch unless aligned."""
+    check_aligned(*waves)
+    head, tail = merge_invalid(*waves)
+    stop = len(waves[0]) - tail
+    return tuple(w.samples[head:stop] for w in waves)
 
 
 def _umask() -> int:
@@ -140,12 +150,14 @@ def _write_csv(path: str | os.PathLike, header: str, row: str,
 
 def save_waveform(w: BasebandWaveform, path: str | os.PathLike) -> None:
     """Write the shared binary waveform format (atomically)."""
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, w.sample_rate, w.center_freq,
-                          w.samples.size)
-    inter = np.empty(2 * w.samples.size, dtype=np.float32)
-    inter[0::2] = w.samples.real
-    inter[1::2] = w.samples.imag
-    _atomic_write(path, header + inter.tobytes())
+    # the file is built in place: no float32 array or bytes copy beside it
+    buf = bytearray(_HEADER.size + 8 * w.samples.size)
+    _HEADER.pack_into(buf, 0, MAGIC, FORMAT_VERSION, w.sample_rate,
+                      w.center_freq, w.samples.size)
+    body = np.frombuffer(buf, "<f4", offset=_HEADER.size)
+    body[0::2] = w.samples.real
+    body[1::2] = w.samples.imag
+    _atomic_write(path, buf)
 
 
 def load_waveform(path: str | os.PathLike) -> BasebandWaveform:
@@ -170,6 +182,7 @@ __all__ = [
     "FORMAT_VERSION",
     "MAGIC",
     "check_aligned",
+    "common_valid",
     "load_waveform",
     "merge_invalid",
     "save_waveform",

@@ -7,7 +7,7 @@ import pytest
 from scipy import signal as sig
 
 from rfcancel import canceller as canc
-from rfcancel.channel import PathModel, apply_path
+from rfcancel.channel import PathModel, apply_path, fractional_delay
 from rfcancel.errors import (
     AmbiguousLabeling,
     DegenerateReference,
@@ -455,6 +455,17 @@ class TestResolvePermutation:
             np.linalg.norm(res.outputs[0].samples) * np.linalg.norm(soi.samples)
         )
         assert rho_soi > 0.99
+
+    def test_reference_with_invalid_head(self):
+        """Outputs and reference are compared over their common valid span:
+        a reference 40 samples late, with an invalid head of 40, still
+        labels the output that carries it as the interference."""
+        ref = fractional_delay(fm_wave(8192, seed=2), 40 / FS)
+        assert ref.invalid_head == 40
+        outputs = [ref.with_samples(0.7 * ref.samples),
+                   white_wave(8192, seed=1)]
+        res = canc.resolve_permutation(self._result(*outputs), ref)
+        assert res.outputs[1] is outputs[0]
 
     def test_uncorrelated_reference_raises(self):
         soi = white_wave(8192, seed=1)

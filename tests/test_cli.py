@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from rfcancel import runner
 from rfcancel.cli import main
 
 GOOD = {
@@ -120,6 +121,25 @@ class TestRun:
     def test_out_is_a_file_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, GOOD)
         assert main(["sweep-isr", "--config", path, "--out", path]) == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, work", [
+        ("sweep-isr", "synthesize_sources"),
+        ("compare-bss", "synthesize_sources"),
+        ("sweep-freq", "train_sweep_taps"),
+    ])
+    def test_out_is_a_file_fails_before_the_work(self, command, work,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+        """The artifact directory is made before any synthesis or
+        training, so an --out that cannot be one costs no work."""
+        calls = []
+        real = getattr(runner, work)
+        monkeypatch.setattr(runner, work,
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        path = write_cfg(tmp_path, GOOD)
+        assert main([command, "--config", path, "--out", path]) == 2
+        assert calls == []
         assert path in capsys.readouterr().err
 
     def test_bad_yaml_exit_2(self, tmp_path):

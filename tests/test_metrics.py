@@ -7,11 +7,35 @@ import numpy as np
 import pytest
 
 from rfcancel import metrics as met
-from rfcancel.errors import InvalidLength, InvalidSegment, OutOfBand
+from rfcancel.errors import (
+    InvalidLength, InvalidSegment, OutOfBand, RateMismatch,
+)
 from rfcancel.sigsynth import SymbolStream, generate_soi, random_symbols
 from rfcancel.waveform import BasebandWaveform
 
 from conftest import FS, tone_wave, white_wave
+
+
+class TestSegmentLength:
+    """One Welch segment rule: 4096 samples, cut to a quarter of the record
+    and to its valid samples, over every waveform measured together."""
+
+    def test_short_record_takes_a_quarter(self):
+        w = white_wave(10_000)
+        assert met.segment_length(w) == 2500
+        assert met.welch_psd(w).psd.size == 2500
+
+    @pytest.mark.parametrize("n", [164_480, 16_384])
+    def test_shipped_records_take_4096(self, n):
+        """The smallest shipped record and the sweep-freq probe."""
+        assert met.segment_length(white_wave(n)) == 4096
+
+    def test_pair_takes_the_smaller(self):
+        before = white_wave(20_000)
+        after = before.with_samples(before.samples, invalid_head=18_000)
+        assert met.segment_length(before, after) == 2000
+        rep = met.cancellation_depth(before, after, (-20e6, 20e6))
+        assert rep.freqs[1] - rep.freqs[0] == pytest.approx(FS / 2000)
 
 
 class TestWelchPsd:
@@ -32,7 +56,7 @@ class TestWelchPsd:
     def test_white_noise_flat(self):
         """Averaged white-noise PSD is flat within 3 dB at >= 100 segments."""
         w = white_wave(1 << 18, seed=8)
-        est = met.welch_psd(w, seg_len=2048, overlap=0.5)  # 255 segments
+        est = met.welch_psd(w, seg_len=2048)  # 255 segments
         ratio_db = 10 * np.log10(est.psd.max() / est.psd.min())
         assert ratio_db < 3.0
 
@@ -56,11 +80,6 @@ class TestWelchPsd:
         with pytest.raises(InvalidSegment):
             met.welch_psd(w, seg_len=seg_len)
 
-    def test_bad_overlap(self):
-        w = white_wave(4096)
-        with pytest.raises(InvalidSegment):
-            met.welch_psd(w, seg_len=1024, overlap=1.0)
-
     def test_standard_error_scales_with_segments(self):
         """Bin scatter shrinks ~1/sqrt(segments) at 10/100/1000 segments."""
         seg = 512
@@ -68,15 +87,15 @@ class TestWelchPsd:
         for n_seg in (10, 100, 1000):
             n = seg * (n_seg + 1) // 2 + seg
             w = white_wave(n, seed=n_seg)
-            est = met.welch_psd(w, seg_len=seg, overlap=0.5)
+            est = met.welch_psd(w, seg_len=seg)
             scatters.append(np.std(est.psd) / np.mean(est.psd))
         assert scatters[0] / scatters[1] == pytest.approx(math.sqrt(10), rel=0.5)
         assert scatters[1] / scatters[2] == pytest.approx(math.sqrt(10), rel=0.5)
 
 
+    # overlap is the reference loop's, which the fixed 50% must match
     @pytest.mark.parametrize("n, seg, overlap", [
-        (20_001, 1024, 0.5), (20_001, 1024, 0.0), (33_333, 4096, 0.75),
-        (4_097, 4096, 0.75), (1_234_567, 4096, 0.5),
+        (20_001, 1024, 0.5), (1_234_567, 4096, 0.5),
     ])
     def test_matches_segment_loop(self, n, seg, overlap):
         """The batched estimate equals a per-segment periodogram loop."""
@@ -89,11 +108,11 @@ class TestWelchPsd:
             acc += np.abs(np.fft.fft(w.samples[k: k + seg] * window)) ** 2
         want = np.fft.fftshift(
             acc / (len(starts) * FS * np.sum(window**2)))
-        got = met.welch_psd(w, seg_len=seg, overlap=overlap).psd
+        got = met.welch_psd(w, seg_len=seg).psd
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("n, seg, overlap", [
-        (100_000, 1024, 0.5), (20_001, 4096, 0.5), (65_536, 2048, 0.75),
+        (100_000, 1024, 0.5), (20_001, 4096, 0.5), (70_000, 2048, 0.5),
     ])
     def test_matches_batch_expression(self, n, seg, overlap):
         """The reused buffers give the very bits of the batch expression
@@ -111,7 +130,7 @@ class TestWelchPsd:
             acc += np.sum(np.abs(spectra) ** 2, axis=0)
         want = np.fft.fftshift(
             acc / (frames.shape[0] * FS * np.sum(window**2)))
-        got = met.welch_psd(w, seg_len=seg, overlap=overlap).psd
+        got = met.welch_psd(w, seg_len=seg).psd
         assert np.array_equal(got, want)
 
     def test_peak_memory_bounded_on_long_record(self):
@@ -187,9 +206,7 @@ class TestCancellationDepth:
     def test_per_frequency_curve(self):
         w = white_wave(1 << 15)
         after = w.with_samples(w.samples * 0.1)
-        rep = met.cancellation_depth(w, after, (-20e6, 20e6),
-                                     per_frequency=True)
-        assert rep.freqs is not None
+        rep = met.cancellation_depth(w, after, (-20e6, 20e6))
         assert np.all(np.abs(rep.curve_db - 20.0) < 1.0)
 
     def test_band_outside_nyquist(self):
@@ -300,6 +317,13 @@ class TestSirAgainstTruth:
         i = white_wave(8192, seed=2)
         assert met.sir_against_truth(s, s, i) > 100
 
+    def test_unequal_lengths_raise(self):
+        """Unequal records are not cut to the shortest but refused."""
+        s = white_wave(8192, seed=1)
+        i = white_wave(8000, seed=2)
+        with pytest.raises(RateMismatch):
+            met.sir_against_truth(s, s, i)
+
 
 class TestCsvExports:
     def test_psd_csv(self, tmp_path):
@@ -323,15 +347,9 @@ class TestCsvExports:
         assert lines[0] == "symbol_idx,err_re,err_im"
         assert len(lines) == 65
 
-    def test_depth_csv_requires_curve(self, tmp_path):
-        w = white_wave(8192)
-        rep = met.cancellation_depth(w, w, (-10e6, 10e6))
-        with pytest.raises(InvalidLength):
-            met.export_depth_csv(rep, tmp_path / "d.csv")
-
     def test_depth_csv(self, tmp_path):
         w = white_wave(8192)
-        rep = met.cancellation_depth(w, w, (-10e6, 10e6), per_frequency=True)
+        rep = met.cancellation_depth(w, w, (-10e6, 10e6))
         met.export_depth_csv(rep, tmp_path / "d.csv")
         lines = (tmp_path / "d.csv").read_text().strip().split("\n")
         assert lines[0] == "freq_hz,depth_db"

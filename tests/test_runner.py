@@ -194,8 +194,7 @@ class TestRun:
         taps, _ = runner._train_taps(cfg, r_l, r_h)
         residual = canc.cancel(src.images.y12, src.images.y22, taps)
         want = met.cancellation_depth(src.images.y12, residual,
-                                      runner.occupied_band(cfg),
-                                      per_frequency=True)
+                                      runner.occupied_band(cfg))
         met.export_depth_csv(want, tmp_path / "want.csv")
         calls = []
         welch = met.welch_psd

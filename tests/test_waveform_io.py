@@ -1,14 +1,17 @@
 """Tests for the waveform container and its binary format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rfcancel.errors import RfCancelError
+from rfcancel.errors import RateMismatch, RfCancelError
 from rfcancel.waveform import (
     FORMAT_VERSION,
     MAGIC,
     BasebandWaveform,
     _write_csv,
+    common_valid,
     load_waveform,
     merge_invalid,
     save_waveform,
@@ -47,6 +50,26 @@ class TestBasebandWaveform:
         a = BasebandWaveform(np.ones(10, dtype=complex), FS, invalid_head=3)
         b = BasebandWaveform(np.ones(10, dtype=complex), FS, invalid_tail=4)
         assert merge_invalid(a, b) == (3, 4)
+
+    def test_common_valid(self):
+        """Each waveform over the span valid in all of them, as views that
+        pair up sample for sample."""
+        a = BasebandWaveform(np.arange(10, dtype=complex), FS, invalid_head=3)
+        b = BasebandWaveform(-np.arange(10, dtype=complex), FS,
+                             invalid_tail=4)
+        x, y = common_valid(a, b)
+        assert np.array_equal(x, np.arange(3, 6))
+        assert np.array_equal(y, -np.arange(3, 6))
+        assert np.shares_memory(x, a.samples)
+
+    @pytest.mark.parametrize("n, fs", [(9, FS), (10, FS / 2)])
+    def test_common_valid_needs_aligned_waves(self, n, fs):
+        a = BasebandWaveform(np.ones(10, dtype=complex), FS)
+        b = BasebandWaveform(np.ones(n, dtype=complex), fs)
+        with pytest.raises(RateMismatch):
+            common_valid(a, b)
+        with pytest.raises(RateMismatch):
+            common_valid(a, a, b)
 
     def test_with_samples_keeps_metadata(self):
         w = BasebandWaveform(np.ones(8, dtype=complex), FS,
@@ -92,6 +115,25 @@ class TestBinaryFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(RfCancelError):
             load_waveform(path)
+
+    def test_save_holds_the_file_once(self, tmp_path):
+        """A save allocates the file's bytes once, half a complex128 record
+        copy, and the record still round-trips."""
+        n = 262_160
+        w = white_wave(n, center_freq=2.4e9)
+        path = tmp_path / "w.rcwv"
+        save_waveform(w, path)
+        tracemalloc.start()
+        try:
+            save_waveform(w, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * 16 * n
+        back = load_waveform(path)
+        assert (back.sample_rate, back.center_freq) == (FS, 2.4e9)
+        assert np.array_equal(back.samples,
+                              w.samples.astype(np.complex64))
 
     def test_deterministic_bytes(self, tmp_path):
         w = white_wave(512)
