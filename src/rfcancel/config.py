@@ -23,9 +23,11 @@ import yaml
 
 from .canceller import IcaConfig
 from .channel import (
-    RESPONSE_KINDS, MixingScenario, ModulatorResponse, PathModel, gain_from_db,
+    INTERP_TAPS, RESPONSE_KINDS, MixingScenario, ModulatorResponse, PathModel,
+    gain_from_db,
 )
 from .errors import ConfigError
+from .metrics import MIN_SEG_LEN
 from .sigsynth import FORMATS
 
 SCHEMA_VERSION = 1
@@ -330,6 +332,20 @@ def _cross_checks(cfg: ScenarioConfig) -> list[str]:
         bad.append("sweep.probe_offset_hz: |probe_offset_hz| + "
                    f"{PROBE_HALF_BAND_HZ:g} Hz must be <= sample_rate_hz / 2, "
                    f"got {probe!r}")
+    # a config that lists carriers probes them: a Welch segment must remain
+    # for the probe's depth after the a12/a22 delays, the tap delay (the
+    # max_lag_s search, its sub-sample refinement and the taps' delay
+    # error) and an INTERP_TAPS margin at each end from each of the
+    # reference's two interpolators
+    reach = (max(chan.a12.delay_s, chan.a22.delay_s) + cfg.canceller.max_lag_s
+             + abs(cfg.canceller.taps_error.delay_s)) * sim.sample_rate_hz
+    need = reach + 2 + 4 * INTERP_TAPS + MIN_SEG_LEN
+    if cfg.sweep.carriers_hz and cfg.sweep.probe_samples < need:
+        need = math.ceil(need) if math.isfinite(need) else need
+        bad.append(f"sweep.probe_samples: must be >= {need} to leave a "
+                   f"{MIN_SEG_LEN}-sample Welch segment after the paths' "
+                   "delays, the tap delay and the interpolator margins, got "
+                   f"{cfg.sweep.probe_samples}")
     for name in ("a11", "a12", "a22"):
         response = getattr(chan.paths, name).response
         if response.kind == "butterworth_lowpass":

@@ -27,6 +27,9 @@ from .sigsynth import SymbolStream, constellation
 from .waveform import BasebandWaveform, _write_csv, common_valid
 
 DEFAULT_SEG_LEN = 4096
+# the shortest Welch segment: a 2-sample Hann window is all zeros, and a
+# one-bin PSD has no bin width
+MIN_SEG_LEN = 3
 # equivalent noise bandwidth of the Hann window, in bins
 _HANN_ENBW = 1.5
 
@@ -95,10 +98,10 @@ def welch_psd(w: BasebandWaveform, seg_len: int | None = None) -> PsdEstimate:
     if seg_len is None:
         seg_len = segment_length(w)
     x = w.valid
-    if not 1 <= seg_len <= x.size:
+    if not MIN_SEG_LEN <= seg_len <= x.size:
         raise InvalidSegment(
-            f"segment length {seg_len} is not within 1..{x.size}, the "
-            "waveform's valid samples"
+            f"segment length {seg_len} is not within {MIN_SEG_LEN}..{x.size}, "
+            "the waveform's valid samples"
         )
     window = np.hanning(seg_len)
     win_power = np.sum(window**2)

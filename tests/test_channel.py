@@ -1,5 +1,7 @@
 """Tests for the 2x2 mixing channel, path model, and fractional delay."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import signal as sig
@@ -10,6 +12,7 @@ from rfcancel.channel import (
     MixingScenario,
     ModulatorResponse,
     PathModel,
+    RESPONSE_CHUNK,
     apply_path,
     fractional_delay,
     gain_from_db,
@@ -18,11 +21,21 @@ from rfcancel.channel import (
     received,
     true_time_delay,
 )
-from rfcancel.channel import _interp_kernel
+from rfcancel.channel import _fast_length, _interp_kernel
+from rfcancel.config import load_config
 from rfcancel.errors import DelayTooLarge, RateMismatch, RfCancelError
 from rfcancel.waveform import BasebandWaveform
 
 from conftest import FS, fm_wave, tone_wave, white_wave
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def five_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
 
 
 class TestModulatorResponse:
@@ -180,6 +193,62 @@ class TestFractionalDelay:
         expect = (w.samples[sl] * np.exp(-2j * np.pi * 1e6 * tau)
                   * np.exp(-2j * np.pi * 2.4e9 * tau))
         assert np.max(np.abs(d.samples[sl] - expect)) < 1e-3
+
+
+class TestFastLength:
+    @pytest.mark.parametrize("n, m", [
+        (164_480, 165_888), (164_160, 165_888), (206_400, 207_360),
+        (208_000, 209_952), (16_384, 16_384), (1, 1)])
+    def test_record_lengths(self, n, m):
+        assert _fast_length(n) == m
+
+    def test_least_five_smooth_length(self):
+        for n in range(1, 5000):
+            m = _fast_length(n)
+            assert m >= n and five_smooth(m)
+            assert not any(five_smooth(k) for k in range(n, m))
+
+    def test_response_transforms_are_five_smooth(self, monkeypatch):
+        """Every transform of the path images on a record whose length has
+        the prime factor 257 runs at a 5-smooth length."""
+        cfg = load_config(CONFIG_DIR / "protocols" / "p2400mhz_qam16_5mbd.yaml")
+        n = (cfg.sim.n_symbols + cfg.soi.span_symbols) * cfg.sps
+        assert n % 257 == 0
+        fc = cfg.soi.carrier_hz
+        soi, intf = white_wave(n, center_freq=fc), fm_wave(n, center_freq=fc)
+        sizes = []
+        for name in ("fft", "ifft"):
+            def spy(a, *args, _f=getattr(np.fft, name), **kw):
+                sizes.append(np.shape(a)[-1])
+                return _f(a, *args, **kw)
+            monkeypatch.setattr(np.fft, name, spy)
+        path_images(soi, intf, cfg.channel.to_scenario(0))
+        assert len(sizes) == 4 and all(five_smooth(m) for m in sizes)
+
+    def test_padded_response_matches_circular_form(self):
+        """Filtering at the padded length moves only the record edges: off
+        them, the image is the length-n circular filter within 1e-4 of the
+        peak."""
+        n = 164_480
+        resp = ModulatorResponse("butterworth_lowpass", f3db=9e9, order=4)
+        x = white_wave(n, seed=4, center_freq=2.4e9)
+        got = apply_path(x, PathModel(response=resp)).samples
+        h = resp.eval(np.fft.fftfreq(n, d=1 / FS) + 2.4e9)
+        want = np.fft.ifft(np.fft.fft(x.samples) * h)
+        err = np.abs(got - want)[200:n - 200]
+        assert err.max() <= 1e-4 * np.abs(want).max()
+
+    def test_chunked_response_is_the_full_grid_form(self):
+        """Evaluating H in chunks, the last one partial, gives the bits of
+        one evaluation on the whole padded grid."""
+        n, m = 164_480, 165_888
+        resp = ModulatorResponse("butterworth_lowpass", f3db=9e9, order=4)
+        x = white_wave(n, seed=5, center_freq=2.4e9)
+        spectrum = np.fft.fft(np.concatenate([x.samples, np.zeros(m - n)]))
+        spectrum *= resp.eval(np.fft.fftfreq(m, d=1 / FS) + 2.4e9)
+        want = np.fft.ifft(spectrum)[:n]
+        got = apply_path(x, PathModel(response=resp)).samples
+        assert m % RESPONSE_CHUNK and np.array_equal(got, want)
 
 
 class TestApplyPath:

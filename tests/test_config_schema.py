@@ -2,6 +2,7 @@
 against malformed files."""
 
 import copy
+import math
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfcancel import runner
 from rfcancel.cli import main
 from rfcancel.config import RECORD_BUDGET, from_tree, validate_tree
 from rfcancel.errors import ConfigError
@@ -17,6 +19,10 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = {str(p.relative_to(CONFIG_DIR)): yaml.safe_load(p.read_text())
            for p in sorted(CONFIG_DIR.rglob("*.yaml"))}
 DEFAULT = SHIPPED["default.yaml"]
+# the shortest sweep-freq probe on spectral_response.yaml: 5 samples of
+# a12 delay and 20 of max_lag_s, 2 of tap refinement, 4 * 64 of
+# interpolator margins and a 3-sample Welch segment
+LEAST_PROBE = 286
 
 
 def mutated(tree, keys, value):
@@ -160,10 +166,39 @@ class TestRules:
     def test_sweep_section_bounds_inclusive(self):
         tree = SHIPPED["spectral_response.yaml"]
         rate = tree["sim"]["sample_rate_hz"]
-        for key, value in (("probe_samples", 1),
+        for key, value in (("probe_samples", LEAST_PROBE),
                            ("train_samples", RECORD_BUDGET),
                            ("probe_offset_hz", -(rate / 2 - 5e6))):
             assert problems(tree, ("sweep", key), value) == []
+
+    @pytest.mark.parametrize("value", [16, 134, 135, LEAST_PROBE - 1])
+    def test_probe_leaves_a_welch_segment(self, value, tmp_path, capsys):
+        """A probe too short for a 3-sample Welch segment once its delays
+        and margins are cut is a config error, named, at exit 1: not error
+        cells at exit 0 (16), an IndexError (134) or a nan depth (135)."""
+        tree = mutated(SHIPPED["spectral_response.yaml"],
+                       ("sweep", "probe_samples"), value)
+        bad = validate_tree(tree)
+        assert [p.split(":")[0] for p in bad] == ["sweep.probe_samples"]
+        assert f"must be >= {LEAST_PROBE}" in bad[0]
+        path = tmp_path / "probe.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        for command in (["validate-config"],
+                        ["sweep-freq", "--out", str(tmp_path / "out")]):
+            assert main(command + ["--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert "sweep.probe_samples" in err and "Traceback" not in err
+
+    def test_least_probe_measures_every_carrier(self):
+        cfg = from_tree(mutated(SHIPPED["spectral_response.yaml"],
+                                ("sweep", "probe_samples"), LEAST_PROBE))
+        rows = runner.sweep_frequency(cfg, cfg.sweep.carriers_hz)
+        assert all(row["error"] == "" and math.isfinite(row["depth_db"])
+                   for row in rows)
+
+    def test_probe_rule_only_with_carriers(self):
+        """No carriers, no probe: a run's config keeps its sweep defaults."""
+        assert problems(DEFAULT, ("sweep", "probe_samples"), 16) == []
 
     def test_sixteenfold_record_within_budget(self):
         tree = SHIPPED["evm_vs_isr.yaml"]

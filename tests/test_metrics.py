@@ -80,6 +80,13 @@ class TestWelchPsd:
         with pytest.raises(InvalidSegment):
             met.welch_psd(w, seg_len=seg_len)
 
+    @pytest.mark.parametrize("seg_len", [1, 2])
+    def test_segment_under_three_samples(self, seg_len):
+        """A 2-sample Hann window is all zeros and a 1-sample PSD has no
+        bin width: neither is a PSD."""
+        with pytest.raises(InvalidSegment, match="within 3.."):
+            met.welch_psd(white_wave(1024), seg_len)
+
     def test_standard_error_scales_with_segments(self):
         """Bin scatter shrinks ~1/sqrt(segments) at 10/100/1000 segments."""
         seg = 512

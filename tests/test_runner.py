@@ -237,6 +237,25 @@ class TestRun:
             tracemalloc.stop()
         assert peak <= 8 * 16 * n
 
+    @pytest.mark.parametrize("name", ["p870mhz_qpsk_1mbd.yaml",
+                                      "p2400mhz_qam16_5mbd.yaml"])
+    def test_synthesis_peak_memory(self, name):
+        """Butterworth paths filter each source in one padded buffer that
+        the delay line frees, and evaluate the response in chunks:
+        synthesis peaks at 7 record copies at most (tracemalloc peak of a
+        second call). A record-length response read 7.64, and padding
+        after the delay line in a second buffer 8.64."""
+        cfg = load_config(CONFIG_DIR / "protocols" / name)
+        n = (cfg.sim.n_symbols + cfg.soi.span_symbols) * cfg.sps
+        runner.synthesize_sources(cfg)
+        tracemalloc.start()
+        try:
+            runner.synthesize_sources(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 16 * n
+
     def test_default_config_logs_no_warning(self, caplog):
         caplog.set_level(logging.WARNING, logger="rfcancel")
         runner.run(load_config(CONFIG_DIR / "default.yaml"))
