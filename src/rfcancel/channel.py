@@ -237,10 +237,12 @@ def _image(w: BasebandWaveform, p: PathModel) -> BasebandWaveform:
 
 
 def _noise(p: PathModel, w: BasebandWaveform,
-           rng: np.random.Generator) -> np.ndarray | None:
+           rng: np.random.Generator | None) -> np.ndarray | None:
     """White Gaussian noise of the path's PSD, or None for a silent path."""
     if p.gain == 0 or p.noise_psd == 0:
         return None
+    if rng is None:
+        raise RfCancelError("a path with noise needs a random generator")
     sigma = np.sqrt(p.noise_psd * w.sample_rate / 2.0)
     return sigma * (rng.standard_normal(w.samples.size)
                     + 1j * rng.standard_normal(w.samples.size))
@@ -251,11 +253,12 @@ def apply_path(w: BasebandWaveform, p: PathModel,
     """Forward model of one mixing-matrix entry.
 
     gain * delayed(response(w)), plus white Gaussian noise of the
-    configured PSD.  The delay rotates the carrier by
-    exp(-j*2*pi*center_freq*delay) on top of shifting the envelope.
+    configured PSD from ``rng``, which a noisy path needs.  The delay
+    rotates the carrier by exp(-j*2*pi*center_freq*delay) on top of
+    shifting the envelope.
     """
     out = _image(w, p)
-    noise = _noise(p, w, rng if rng is not None else np.random.default_rng(0))
+    noise = _noise(p, w, rng)
     if noise is not None:
         out.samples += noise
     return out

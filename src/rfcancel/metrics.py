@@ -63,12 +63,12 @@ class PsdEstimate:
 
 @dataclass
 class EvmReport:
-    """RMS error vector magnitude and the per-symbol error vectors."""
+    """RMS EVM, the per-symbol error vectors and the aligned symbols."""
 
     evm_rms_pct: float
     per_symbol_errors: np.ndarray
     n_symbols: int
-    normalization: str = "rms_constellation"
+    aligned: np.ndarray
 
 
 @dataclass
@@ -198,10 +198,11 @@ def evm(rx_symbols: SymbolStream, tx_symbols: SymbolStream) -> EvmReport:
     tx = tx_symbols.symbols
     energy = np.real(np.vdot(rx, rx))
     scale = np.vdot(rx, tx) / energy if energy > 0 else 1.0
-    err = scale * rx - tx
+    aligned = scale * rx
+    err = aligned - tx
     ref_rms = np.sqrt(np.mean(np.abs(constellation(tx_symbols.format)) ** 2))
     pct = 100.0 * np.sqrt(np.mean(np.abs(err) ** 2)) / ref_rms
-    return EvmReport(float(pct), err, rx.size)
+    return EvmReport(float(pct), err, rx.size, aligned)
 
 
 def sir_against_truth(output: BasebandWaveform, target: BasebandWaveform,

@@ -84,35 +84,6 @@ class Sources:
         return 10 ** ((isr_db - self.base_ratio_db) / 20.0)
 
 
-@dataclass
-class DepthPair:
-    """The isolated interference the depth is measured on.
-
-    ``image`` is its image on r_L, the depth's "before", and ``reference``
-    its image on r_H; depth is a power ratio, so the pair may be at any
-    common scale.  ``ref_scale`` is k when r_H = k * reference exactly (no
-    receiver noise on r_H), and the residual then reuses the
-    canceller's delayed r_H.  Otherwise it is None and the reference is
-    delayed on its own, so the ground truth stays noise-free.
-    ``before_psd``, when set, is the Welch PSD of ``image``.
-    """
-
-    image: BasebandWaveform
-    reference: BasebandWaveform
-    ref_scale: float | None
-    before_psd: met.PsdEstimate | None = None
-
-    def residual(self, taps: canc.CancellerTaps,
-                 delayed_r_h: BasebandWaveform) -> BasebandWaveform:
-        """The image after the taps.  ``delayed_r_h`` is r_H delayed by
-        them; when the pair reuses it, the residual overwrites it."""
-        if self.ref_scale is None:
-            return canc.cancel(self.image, self.reference, taps)
-        # image - (g/k) * D(k * reference), in the delayed r_H's buffer
-        return canc.subtract(self.image, delayed_r_h,
-                             taps.gain / self.ref_scale, in_place=True)
-
-
 def _seed_ints(seed: int, n: int) -> list[int]:
     children = np.random.SeedSequence(seed).spawn(n)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
@@ -167,22 +138,9 @@ def synthesize_sources(cfg: ScenarioConfig,
                    path_images(soi, interference, scenario))
 
 
-def _record(src: Sources, scale: float,
-            before_psd: met.PsdEstimate | None = None
-            ) -> tuple[BasebandWaveform, BasebandWaveform, DepthPair]:
-    """r_L and r_H at interference amplitude ``scale``, and the isolated
-    interference pair their depth is measured on; ``before_psd`` is the
-    pair's "before" PSD, when known."""
-    img = src.images
-    r_l, r_h = received(img, scale)
-    return r_l, r_h, DepthPair(img.y12, img.y22,
-                               scale if img.clean_reference else None,
-                               before_psd)
-
-
 def _configured_record(cfg: ScenarioConfig):
     """The sources and the interference scale of ``cfg``'s ISR, with the
-    record at that ISR: ``(src, scale, r_l, r_h, pair)``.
+    record at that ISR: ``(src, scale, r_l, r_h)``.
 
     The sources belong to this call alone, so their interference images are
     scaled in place, rather than kept beside scaled copies: the record is
@@ -192,7 +150,7 @@ def _configured_record(cfg: ScenarioConfig):
     scale = src.scale(cfg.interference.isr_db)
     for w in (src.images.y12, src.images.y22):
         w.samples *= scale
-    return (src, scale, *_record(src, 1.0))
+    return (src, scale, *received(src.images))
 
 
 def _train_taps(cfg: ScenarioConfig, r_l: BasebandWaveform,
@@ -224,7 +182,7 @@ def _taps_error(cfg: ScenarioConfig,
 
 
 def _measure_evm(cfg: ScenarioConfig, estimate: BasebandWaveform,
-                 tx_stream: SymbolStream) -> tuple[met.EvmReport, SymbolStream]:
+                 tx_stream: SymbolStream) -> met.EvmReport:
     dcfg = DemodConfig(
         sps=cfg.sps,
         format=cfg.soi.format,
@@ -240,7 +198,7 @@ def _measure_evm(cfg: ScenarioConfig, estimate: BasebandWaveform,
     rx_trim = SymbolStream(rx.symbols[first:last], rx.format, rx.symbol_rate)
     tx_trim = SymbolStream(tx_stream.symbols[first:last], tx_stream.format,
                            tx_stream.symbol_rate)
-    return met.evm(rx_trim, tx_trim), rx_trim
+    return met.evm(rx_trim, tx_trim)
 
 
 @dataclass
@@ -249,7 +207,6 @@ class Measured:
 
     estimate: BasebandWaveform
     evm: met.EvmReport
-    rx_trim: SymbolStream
     depth: met.DepthReport | None = None       # reference mode only
     taps: canc.CancellerTaps | None = None
     residual: BasebandWaveform | None = None   # interference after the taps
@@ -272,31 +229,38 @@ def _separate_blind(cfg: ScenarioConfig, r_l: BasebandWaveform,
     return result
 
 
-def _measure(cfg: ScenarioConfig, mode: str, r_l: BasebandWaveform,
-             r_h: BasebandWaveform, tx_stream: SymbolStream,
-             pair: DepthPair | None = None) -> Measured:
-    """Separate the SOI from (r_l, r_h) in ``mode`` and measure EVM, and in
-    reference mode the depth the taps reach on the isolated interference
-    ``pair``.
+def _measure(cfg: ScenarioConfig, mode: str, src: Sources, scale: float,
+             r_l: BasebandWaveform, r_h: BasebandWaveform,
+             before_psd: met.PsdEstimate | None = None) -> Measured:
+    """Separate the SOI from (r_l, r_h) in ``mode`` and measure its EVM
+    against ``src.tx_stream``, and in reference mode the depth the taps
+    reach on the interference image ``src.images.y12``, with y22 as its
+    reference.  The record holds the interference at ``scale`` times the
+    images'; ``before_psd``, when set, is the Welch PSD of y12.
     """
     if mode == "off":
-        evm_report, rx_trim = _measure_evm(cfg, r_l, tx_stream)
-        return Measured(r_l, evm_report, rx_trim)
+        return Measured(r_l, _measure_evm(cfg, r_l, src.tx_stream))
     if mode == "reference":
         taps, delayed = _train_taps(cfg, r_l, r_h)
         estimate = canc.subtract(r_l, delayed, taps.gain)
-        evm_report, rx_trim = _measure_evm(cfg, estimate, tx_stream)
-        # the estimate is formed, so the residual may take over delayed
-        residual = pair.residual(taps, delayed)
-        depth = met.cancellation_depth(pair.image, residual,
-                                       occupied_band(cfg), pair.before_psd)
-        return Measured(estimate, evm_report, rx_trim, depth, taps, residual)
+        evm_report = _measure_evm(cfg, estimate, src.tx_stream)
+        img = src.images
+        if img.clean_reference:
+            # r_H = scale * y22, so the residual y12 - (g/scale) * D(r_H)
+            # takes over the delayed r_H, which the estimate is done with
+            residual = canc.subtract(img.y12, delayed, taps.gain / scale,
+                                     in_place=True)
+        else:
+            # y22 delayed on its own keeps the ground truth noise-free
+            residual = canc.cancel(img.y12, img.y22, taps)
+        depth = met.cancellation_depth(img.y12, residual, occupied_band(cfg),
+                                       before_psd)
+        return Measured(estimate, evm_report, depth, taps, residual)
     if mode == "bss":
         result = _separate_blind(cfg, r_l, r_h)
         result = canc.resolve_permutation(result, r_h)
         estimate = result.outputs[0]
-        evm_report, rx_trim = _measure_evm(cfg, estimate, tx_stream)
-        return Measured(estimate, evm_report, rx_trim,
+        return Measured(estimate, _measure_evm(cfg, estimate, src.tx_stream),
                         demix=[[(c.real, c.imag) for c in row]
                                for row in result.demix])
     raise RfCancelError(f"unknown canceller mode {mode!r}")  # pragma: no cover
@@ -305,8 +269,9 @@ def _measure(cfg: ScenarioConfig, mode: str, r_l: BasebandWaveform,
 def run(cfg: ScenarioConfig, out_dir: str | os.PathLike | None = None) -> RunReport:
     """Execute one scenario: synthesize, mix, cancel, demodulate, measure."""
     t0 = time.perf_counter()
-    src, scale, r_l, r_h, pair = _configured_record(cfg)
-    m = _measure(cfg, cfg.canceller.mode, r_l, r_h, src.tx_stream, pair)
+    src, scale, r_l, r_h = _configured_record(cfg)
+    # the images already hold the interference at ``scale``
+    m = _measure(cfg, cfg.canceller.mode, src, 1.0, r_l, r_h)
     taps_dict = None
     if m.taps is not None:
         taps_dict = {
@@ -341,13 +306,9 @@ def _write_artifacts(cfg: ScenarioConfig, src: Sources, scale: float,
     if "report" in kinds:
         _atomic_write(path("report.json"), (report.to_json() + "\n").encode())
     if "constellation" in kinds:
-        rx = m.rx_trim.symbols
-        tx = src.tx_stream.symbols[: rx.size]
-        energy = np.real(np.vdot(rx, rx))
-        align = np.vdot(rx, tx) / energy if energy > 0 else 1.0
-        aligned = align * rx
+        aligned = m.evm.aligned
         _write_csv(path("constellation.csv"), "symbol_idx,re,im",
-                   "%d,%.10e,%.10e", range(rx.size), aligned.real,
+                   "%d,%.10e,%.10e", range(aligned.size), aligned.real,
                    aligned.imag)
         met.export_evm_csv(m.evm, path("evm_errors.csv"))
     if "psd" in kinds:
@@ -415,11 +376,12 @@ def _fill_row(row: dict, cfg: ScenarioConfig, src: Sources, isr_db: float,
     The record and the estimates die with this call, so one row's arrays
     are freed before the next row allocates its own.
     """
-    r_l, r_h, pair = _record(src, src.scale(isr_db), before_psd)
-    row["evm_off_pct"] = _measure(cfg, "off", r_l, r_h,
-                                  src.tx_stream).evm.evm_rms_pct
+    scale = src.scale(isr_db)
+    r_l, r_h = received(src.images, scale)
+    row["evm_off_pct"] = _measure(cfg, "off", src, scale, r_l,
+                                  r_h).evm.evm_rms_pct
     if on_mode is not None:
-        on = _measure(cfg, on_mode, r_l, r_h, src.tx_stream, pair)
+        on = _measure(cfg, on_mode, src, scale, r_l, r_h, before_psd)
         row["evm_on_pct"] = on.evm.evm_rms_pct
         row["depth_db"] = on.depth_db
 
@@ -557,7 +519,7 @@ def compare_separators(cfg: ScenarioConfig,
     free parameters each method had to estimate.  ``runtime_ms`` spans
     training and subtraction, or blind separation and labelling.
     """
-    src, _, r_l, r_h, _ = _configured_record(cfg)
+    src, _, r_l, r_h = _configured_record(cfg)
 
     def fill(row, method):
         t0 = time.perf_counter()
@@ -581,7 +543,6 @@ def compare_separators(cfg: ScenarioConfig,
 
 
 __all__ = [
-    "DepthPair",
     "RunReport",
     "Sources",
     "compare_separators",

@@ -295,6 +295,12 @@ class TestApplyPath:
         noise_power = np.mean(np.abs(out.samples - 1.0) ** 2)
         assert noise_power == pytest.approx(psd * FS, rel=0.05)
 
+    def test_noise_needs_a_generator(self):
+        """A noisy path without a generator fails rather than drawing the
+        same default-seeded noise on every call."""
+        with pytest.raises(RfCancelError, match="random generator"):
+            apply_path(white_wave(1024), PathModel(gain=1.0, noise_psd=1e-9))
+
     def test_zero_gain(self):
         w = white_wave(1024)
         out = apply_path(w, PathModel(gain=0.0))

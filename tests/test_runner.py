@@ -21,6 +21,7 @@ from rfcancel import metrics as met
 from rfcancel import runner
 from rfcancel.channel import apply_path, received
 from rfcancel.config import from_tree, load_config
+from rfcancel.demod import DemodConfig, valid_symbol_range
 from rfcancel.errors import (
     AmbiguousLabeling, DegenerateReference, RfCancelError,
 )
@@ -175,8 +176,8 @@ class TestRun:
         """The residual formed in the delayed r_H's buffer is, bit for bit,
         the ground-truth pair cancelled on its own."""
         cfg = load_config(CONFIG_DIR / "default.yaml")
-        src, _, r_l, r_h, pair = runner._configured_record(cfg)
-        m = runner._measure(cfg, "reference", r_l, r_h, src.tx_stream, pair)
+        src, _, r_l, r_h = runner._configured_record(cfg)
+        m = runner._measure(cfg, "reference", src, 1.0, r_l, r_h)
         want = canc.cancel(src.images.y12, src.images.y22, m.taps)
         assert np.array_equal(m.residual.samples, want.samples)
         assert (m.residual.invalid_head, m.residual.invalid_tail) == (
@@ -190,7 +191,7 @@ class TestRun:
         run with every artifact kind computes six Welch PSDs: two in
         synthesis, two for the depth and two for the PSD artifacts (the
         sources' PSDs are the synthesis ones)."""
-        src, _, r_l, r_h, _ = runner._configured_record(cfg)
+        src, _, r_l, r_h = runner._configured_record(cfg)
         taps, _ = runner._train_taps(cfg, r_l, r_h)
         residual = canc.cancel(src.images.y12, src.images.y22, taps)
         want = met.cancellation_depth(src.images.y12, residual,
@@ -204,6 +205,30 @@ class TestRun:
         assert ((tmp_path / "run" / "depth_curve.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
         assert len(calls) == 6
+
+    def test_constellation_is_the_evm_alignment(self, tmp_path):
+        """constellation.csv holds the symbols the EVM was measured on,
+        aligned by the EVM's own gain: unit RMS, and each row minus its
+        error vector is the transmitted symbol it was measured against."""
+        cfg = load_config(CONFIG_DIR / "default.yaml")
+        assert "constellation" in cfg.outputs.csv
+        runner.run(cfg, tmp_path)
+        read = lambda name: np.loadtxt(tmp_path / name, delimiter=",",
+                                       skiprows=1)
+        const, err = read("constellation.csv"), read("evm_errors.csv")
+        aligned = const[:, 1] + 1j * const[:, 2]
+        assert np.sqrt(np.mean(np.abs(aligned) ** 2)) == pytest.approx(
+            1.0, rel=0.02)
+        src, _, r_l, r_h = runner._configured_record(cfg)
+        estimate = runner._measure(cfg, cfg.canceller.mode, src, 1.0, r_l,
+                                   r_h).estimate
+        first, _ = valid_symbol_range(estimate, DemodConfig(
+            sps=cfg.sps, format=cfg.soi.format,
+            span_symbols=cfg.soi.span_symbols))
+        assert first > 0
+        tx = src.tx_stream.symbols[first:first + aligned.size]
+        assert np.max(np.abs(aligned - (err[:, 1] + 1j * err[:, 2]) - tx)
+                      ) <= 1e-9
 
     def test_source_psds_are_the_synthesis_psds(self, cfg, tmp_path):
         """psd_soi.csv and psd_interference.csv export the PSDs synthesis
@@ -308,15 +333,15 @@ class TestGroundTruth:
     def test_clean_reference_is_the_image(self, cfg, noisy):
         """A clean r_H is the interference image's own array; with noise on
         a22, r_H is an array of its own."""
-        src, _, _, r_h, _ = runner._configured_record(cfg)
+        src, _, _, r_h = runner._configured_record(cfg)
         assert src.images.clean_reference
         assert np.shares_memory(r_h.samples, src.images.y22.samples)
-        src, _, _, r_h, _ = runner._configured_record(noisy)
+        src, _, _, r_h = runner._configured_record(noisy)
         assert not src.images.clean_reference
         assert not np.shares_memory(r_h.samples, src.images.y22.samples)
 
     def test_reference_noise_is_the_a22_draw(self, noisy):
-        src, _, _, r_h, _ = runner._configured_record(noisy)
+        src, _, _, r_h = runner._configured_record(noisy)
         chan_seed = runner._seed_ints(noisy.sim.seed, 3)[2]
         stream = np.random.SeedSequence(chan_seed).spawn(4)[3]
         rng = np.random.default_rng(stream)
