@@ -40,6 +40,11 @@ RECORD_BUDGET = 2**26
 # bound on every dB field: 10**(300/20) amplitude keeps a record's power
 # finite even with a path gain and the ISR both at the bound
 DB_LIMIT = 300.0
+# highest Butterworth order: the response's denominator is expanded from
+# its poles by np.poly, whose rounding grows with the order; |H| departs
+# from 1/sqrt(1 + (f/f3db)**(2n)) by 1.2e-10 at 24, 1.4e-3 at 48 and 94%
+# at 64, and order 10**9 asks for gigabytes
+MAX_ORDER = 24
 # half-width of the band the frequency sweep measures its depth over,
 # around the probe offset
 PROBE_HALF_BAND_HZ = 5e6
@@ -119,10 +124,6 @@ class TapsErrorConfig:
     gain_phase_deg: float = 0.0
     delay_s: float = 0.0
 
-    @property
-    def active(self) -> bool:
-        return bool(self.gain_mag or self.gain_phase_deg or self.delay_s)
-
 
 @dataclass
 class CancellerConfig:
@@ -188,6 +189,10 @@ def _db(v):
     return None if abs(v) <= DB_LIMIT else f"must be within +-{DB_LIMIT:g} dB"
 
 
+def _between(lo, hi):
+    return lambda v: None if lo <= v <= hi else f"must be in [{lo:g}, {hi:g}]"
+
+
 def _samples(v):
     return None if 1 <= v <= RECORD_BUDGET else "must be in [1, 2**26]"
 
@@ -202,7 +207,8 @@ CHECKS = {
     "schema_version": _one_of((SCHEMA_VERSION,)),
     "soi.format": _one_of(FORMATS),
     "soi.symbol_rate_hz": _above(0),
-    "soi.power": _above(0),
+    # +-DB_LIMIT dB of 1: the ISR calibration's power ratio stays non-zero
+    "soi.power": _between(10 ** (-DB_LIMIT / 10), 10 ** (DB_LIMIT / 10)),
     "soi.rolloff": lambda v: None if 0 < v <= 1 else "must be in (0, 1]",
     "soi.span_symbols": _at_least(4),
     "interference.deviation_pp_hz": _at_least(0),
@@ -218,7 +224,7 @@ CHECKS = {
     "channel.paths.*.noise_psd": _at_least(0),
     "channel.paths.*.response.kind": _one_of(RESPONSE_KINDS),
     "channel.paths.*.response.f3db_hz": _above(0),
-    "channel.paths.*.response.order": _at_least(1),
+    "channel.paths.*.response.order": _between(1, MAX_ORDER),
     "canceller.mode": _one_of(CANCELLER_MODES),
     "canceller.training_window": _above(0),
     "canceller.max_lag_s": _above(0),

@@ -84,8 +84,9 @@ class Sources:
         return 10 ** ((isr_db - self.base_ratio_db) / 20.0)
 
 
-def _seed_ints(seed: int, n: int) -> list[int]:
-    children = np.random.SeedSequence(seed).spawn(n)
+def _seed_ints(seed: int) -> list[int]:
+    """The scenario seed's four streams: bits, FM, channel and probe."""
+    children = np.random.SeedSequence(seed).spawn(4)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
@@ -95,6 +96,16 @@ def occupied_band(cfg: ScenarioConfig) -> tuple[float, float]:
     half = cfg.interference.deviation_pp_hz / 2 + cfg.interference.mod_noise_bw_hz
     nyq = 0.49 * cfg.sim.sample_rate_hz
     return (max(off - half, -nyq), min(off + half, nyq))
+
+
+def _interference(cfg: ScenarioConfig, seed: int, n: int,
+                  center: float) -> BasebandWaveform:
+    """``n`` samples of the configured unit-power FM-noise interference,
+    drawn from the FM stream ``seed``, centred at ``center``."""
+    spec = FmNoiseSpec(cfg.interference.deviation_pp_hz,
+                       cfg.interference.mod_noise_bw_hz, power=1.0, seed=seed)
+    return generate_fm_interference(spec, n, cfg.sim.sample_rate_hz,
+                                    center_freq=center)
 
 
 def synthesize_sources(cfg: ScenarioConfig,
@@ -107,7 +118,7 @@ def synthesize_sources(cfg: ScenarioConfig,
     channel: its interference PSD, interference images and noise are reused
     and only the SOI side is rebuilt.
     """
-    bits_seed, fm_seed, chan_seed = _seed_ints(cfg.sim.seed, 3)
+    bits_seed, fm_seed, chan_seed, _ = _seed_ints(cfg.sim.seed)
     stream = random_symbols(cfg.soi.format, cfg.sim.n_symbols,
                             cfg.soi.symbol_rate_hz,
                             np.random.default_rng(bits_seed))
@@ -120,15 +131,10 @@ def synthesize_sources(cfg: ScenarioConfig,
         return Sources(stream, psd_soi, share.psd_int,
                        met.isr_at(psd_soi, share.psd_int, 0.0),
                        share.images.with_soi(soi, scenario))
-    fs = cfg.sim.sample_rate_hz
-    spec = FmNoiseSpec(cfg.interference.deviation_pp_hz,
-                       cfg.interference.mod_noise_bw_hz,
-                       power=1.0, seed=fm_seed)
-    interference = generate_fm_interference(spec, len(soi), fs,
-                                            center_freq=cfg.soi.carrier_hz)
+    interference = _interference(cfg, fm_seed, len(soi), cfg.soi.carrier_hz)
     offset = cfg.interference.carrier_hz - cfg.soi.carrier_hz
     if offset:
-        t = np.arange(len(interference)) / fs
+        t = np.arange(len(interference)) / cfg.sim.sample_rate_hz
         interference = interference.with_samples(
             interference.samples * np.exp(2j * np.pi * offset * t)
         )
@@ -154,31 +160,23 @@ def _configured_record(cfg: ScenarioConfig):
 
 
 def _train_taps(cfg: ScenarioConfig, r_l: BasebandWaveform,
-                r_h: BasebandWaveform
+                r_h: BasebandWaveform, window: int
                 ) -> tuple[canc.CancellerTaps, BasebandWaveform]:
-    """Block training over the configured window, plus any taps error.
+    """Block training over the first ``window`` samples, plus the configured
+    taps error.
 
     Returns the taps and r_H delayed by them over the full record: the one
     delayed reference that every use of these taps shares.
     """
     c = cfg.canceller
-    taps, delayed = canc.train(r_l, r_h, c.training_window, c.max_lag_s,
-                               c.delay_refine)
-    taps = _taps_error(cfg, taps)
-    if c.taps_error.delay_s:
+    err = c.taps_error
+    taps, delayed = canc.train(r_l, r_h, window, c.max_lag_s, c.delay_refine)
+    taps = canc.perturb_taps(taps, err.gain_mag, err.gain_phase_deg,
+                             err.delay_s)
+    if err.delay_s:
         # the delay error moves the delay line off the trained delay
         delayed = true_time_delay(r_h, taps.delay)
     return taps, delayed
-
-
-def _taps_error(cfg: ScenarioConfig,
-                taps: canc.CancellerTaps) -> canc.CancellerTaps:
-    """``taps`` with the configured matching error applied."""
-    err = cfg.canceller.taps_error
-    if not err.active:
-        return taps
-    return canc.perturb_taps(taps, err.gain_mag, err.gain_phase_deg,
-                             err.delay_s)
 
 
 def _measure_evm(cfg: ScenarioConfig, estimate: BasebandWaveform,
@@ -241,7 +239,8 @@ def _measure(cfg: ScenarioConfig, mode: str, src: Sources, scale: float,
     if mode == "off":
         return Measured(r_l, _measure_evm(cfg, r_l, src.tx_stream))
     if mode == "reference":
-        taps, delayed = _train_taps(cfg, r_l, r_h)
+        taps, delayed = _train_taps(cfg, r_l, r_h,
+                                    cfg.canceller.training_window)
         estimate = canc.subtract(r_l, delayed, taps.gain)
         evm_report = _measure_evm(cfg, estimate, src.tx_stream)
         img = src.images
@@ -365,49 +364,48 @@ def _sweep(columns: list[str], values: list, fill, out_dir,
     return rows
 
 
-def _fill_row(row: dict, cfg: ScenarioConfig, src: Sources, isr_db: float,
-              on_mode: str | None,
-              before_psd: met.PsdEstimate | None = None) -> None:
-    """Fill a sweep row's evm_off_pct and, when ``on_mode`` is set, its
-    evm_on_pct and depth_db, from the record at isr_db.  ``before_psd`` is
-    the Welch PSD of the unit-power ``src.images.y12``, the depth's
-    "before" that every row of a sweep shares.
+def _evm_sweep(cfg: ScenarioConfig, columns: list[str], values: list,
+               point, out_dir, table: str) -> list[dict]:
+    """EVM with and without cancellation, and the depth, at each axis value;
+    ``point(value)`` gives the row's config and ISR.
 
-    The record and the estimates die with this call, so one row's arrays
-    are freed before the next row allocates its own.
+    The sources are kept while the SOI format stays the same; a row with
+    another format rebuilds only the SOI on the same interference.  The
+    depth's "before", the Welch PSD of the unit-power ``src.images.y12``,
+    is computed once, in reference mode only.  With the canceller off
+    only ``evm_off_pct`` is measured, and the other cells stay nan.  A
+    row's record and estimates die with its row, so one row's arrays are
+    freed before the next row allocates its own.
     """
-    scale = src.scale(isr_db)
-    r_l, r_h = received(src.images, scale)
-    row["evm_off_pct"] = _measure(cfg, "off", src, scale, r_l,
-                                  r_h).evm.evm_rms_pct
-    if on_mode is not None:
-        on = _measure(cfg, on_mode, src, scale, r_l, r_h, before_psd)
-        row["evm_on_pct"] = on.evm.evm_rms_pct
-        row["depth_db"] = on.depth_db
+    mode = cfg.canceller.mode
+    src = before = None
+
+    def fill(row, value):
+        nonlocal src, before
+        row_cfg, isr_db = point(value)
+        if src is None or src.tx_stream.format != row_cfg.soi.format:
+            src = synthesize_sources(row_cfg, src)
+            if before is None and mode == "reference":
+                before = met.welch_psd(src.images.y12)
+        scale = src.scale(isr_db)
+        r_l, r_h = received(src.images, scale)
+        row["evm_off_pct"] = _measure(row_cfg, "off", src, scale, r_l,
+                                      r_h).evm.evm_rms_pct
+        if mode != "off":
+            on = _measure(row_cfg, mode, src, scale, r_l, r_h, before)
+            row["evm_on_pct"] = on.evm.evm_rms_pct
+            row["depth_db"] = on.depth_db
+
+    return _sweep(columns, values, fill, out_dir, table)
 
 
 def sweep_isr(cfg: ScenarioConfig, isr_list: list[float],
               out_dir: str | os.PathLike | None = None) -> list[dict]:
-    """EVM with and without cancellation at each interference ratio.
-
-    The sources, and the depth's "before" PSD, are computed once, on the
-    first row that gets that far; each row scales the interference images
-    to its ISR, so only the interference scale varies.
-    """
-    on_mode = None if cfg.canceller.mode == "off" else cfg.canceller.mode
-    src = before = None
-
-    def fill(row, isr):
-        nonlocal src, before
-        if src is None:
-            src = synthesize_sources(cfg)
-            if on_mode == "reference":
-                before = met.welch_psd(src.images.y12)
-        _fill_row(row, cfg, src, isr, on_mode, before)
-
-    return _sweep(["isr_db", "evm_off_pct", "evm_on_pct", "depth_db"],
-                  [float(isr) for isr in isr_list], fill, out_dir,
-                  "sweep_isr.csv")
+    """EVM with and without cancellation at each interference ratio: one
+    synthesis, whose interference images each row scales to its ISR."""
+    return _evm_sweep(cfg, ["isr_db", "evm_off_pct", "evm_on_pct", "depth_db"],
+                      [float(isr) for isr in isr_list],
+                      lambda isr: (cfg, isr), out_dir, "sweep_isr.csv")
 
 
 def depth_oracle_db(cfg: ScenarioConfig, taps: canc.CancellerTaps,
@@ -443,18 +441,11 @@ def train_sweep_taps(cfg: ScenarioConfig) -> canc.CancellerTaps:
     and then frozen; the sweep probes other carriers without retuning,
     which is where the response mismatch shows up.
     """
-    fm_seed, chan_seed = _seed_ints(cfg.sim.seed, 3)[1:]
-    fs = cfg.sim.sample_rate_hz
-    carrier = cfg.sweep.train_carrier_hz or cfg.soi.carrier_hz
-    spec = FmNoiseSpec(cfg.interference.deviation_pp_hz,
-                       cfg.interference.mod_noise_bw_hz,
-                       power=1.0, seed=fm_seed)
-    probe = generate_fm_interference(spec, cfg.sweep.train_samples, fs,
-                                     center_freq=carrier)
+    _, fm_seed, chan_seed, _ = _seed_ints(cfg.sim.seed)
+    probe = _interference(cfg, fm_seed, cfg.sweep.train_samples,
+                          cfg.sweep.train_carrier_hz or cfg.soi.carrier_hz)
     r_l, r_h = _path_pair(probe, cfg.channel.to_scenario(chan_seed))
-    taps, _ = canc.train(r_l, r_h, len(r_l), cfg.canceller.max_lag_s,
-                         cfg.canceller.delay_refine)
-    return _taps_error(cfg, taps)
+    return _train_taps(cfg, r_l, r_h, len(r_l))[0]
 
 
 def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],
@@ -469,7 +460,7 @@ def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],
     fs = cfg.sim.sample_rate_hz
     offset = cfg.sweep.probe_offset_hz
     n = cfg.sweep.probe_samples
-    scenario = cfg.channel.to_scenario(_seed_ints(cfg.sim.seed, 4)[3])
+    scenario = cfg.channel.to_scenario(_seed_ints(cfg.sim.seed)[3])
     band = (offset - PROBE_HALF_BAND_HZ, offset + PROBE_HALF_BAND_HZ)
     # the probe's envelope is the same at every carrier
     envelope = np.exp(2j * np.pi * offset * (np.arange(n) / fs))
@@ -488,27 +479,15 @@ def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],
 
 def sweep_format(cfg: ScenarioConfig, formats: list[str],
                  out_dir: str | os.PathLike | None = None) -> list[dict]:
-    """EVM with and without cancellation per modulation format.
+    """EVM with and without cancellation per modulation format, at
+    ``sweep.format_isr_db``: the rows share the interference, and only the
+    SOI is regenerated per format."""
+    def point(fmt):
+        return (replace(cfg, soi=replace(cfg.soi, format=fmt)),
+                cfg.sweep.format_isr_db)
 
-    Rows share the interference, its path images, its PSD and the depth's
-    "before" PSD of the first row that synthesizes; only the SOI is
-    regenerated per format.
-    """
-    isr = cfg.sweep.format_isr_db
-    shared = before = None
-
-    def fill(row, fmt):
-        nonlocal shared, before
-        row_cfg = replace(cfg, soi=replace(cfg.soi, format=fmt))
-        src = synthesize_sources(row_cfg, shared)
-        if shared is None:
-            shared = src
-            if cfg.canceller.mode == "reference":
-                before = met.welch_psd(src.images.y12)
-        _fill_row(row, row_cfg, src, isr, cfg.canceller.mode, before)
-
-    return _sweep(["format", "evm_on_pct", "evm_off_pct", "depth_db"],
-                  formats, fill, out_dir, "sweep_format.csv")
+    return _evm_sweep(cfg, ["format", "evm_on_pct", "evm_off_pct", "depth_db"],
+                      formats, point, out_dir, "sweep_format.csv")
 
 
 def compare_separators(cfg: ScenarioConfig,
@@ -524,7 +503,8 @@ def compare_separators(cfg: ScenarioConfig,
     def fill(row, method):
         t0 = time.perf_counter()
         if method == "reference":
-            taps, delayed = _train_taps(cfg, r_l, r_h)
+            taps, delayed = _train_taps(cfg, r_l, r_h,
+                                        cfg.canceller.training_window)
             out = canc.subtract(r_l, delayed, taps.gain)
             row.update(iterations=1, free_parameters=2, converged=True)
         else:

@@ -106,6 +106,45 @@ class TestRules:
             "channel.paths.a12.response.f3db_hz",
             "channel.paths.a12.response.order"]
 
+    @pytest.mark.parametrize("value, valid", [
+        (1.0e-30, True), (1.0e30, True), (1.0e-31, False), (1.0e31, False),
+        pytest.param(1.0e305, False, id="1e305")])
+    def test_soi_power_within_300_db_of_one(self, value, valid, tmp_path,
+                                            capsys):
+        """At 1e305 the ISR calibration's power ratio underflows to zero:
+        the power must lie within +-300 dB of 1, or the file is refused,
+        named, at exit 1 and without a traceback."""
+        tree = mutated(DEFAULT, ("soi", "power"), value)
+        if valid:
+            assert validate_tree(tree) == []
+            return
+        assert validate_tree(tree) == [
+            f"soi.power: must be in [1e-30, 1e+30], got {value!r}"]
+        path = tmp_path / "power.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "soi.power" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("order", [64, 10**9])
+    def test_butterworth_order_bounded(self, order, tmp_path, capsys):
+        """Past order 24 the Butterworth response loses its accuracy (94%
+        off in |H| at 64) and then its memory (gigabytes at 10**9)."""
+        tree = copy.deepcopy(SHIPPED["spectral_response.yaml"])
+        tree["channel"]["paths"]["a12"]["response"]["order"] = 24
+        assert validate_tree(tree) == []
+        tree["channel"]["paths"]["a12"]["response"]["order"] = order
+        assert validate_tree(tree) == [
+            f"channel.paths.a12.response.order: must be in [1, 24], "
+            f"got {order}"]
+        path = tmp_path / "order.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        assert main(["validate-config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "channel.paths.a12.response.order" in err
+        assert "Traceback" not in err
+
     def test_a21_must_be_zero_in_reference_mode(self):
         bad = problems(DEFAULT, ("channel", "paths", "a21"), {"zero": False})
         assert [p.split(":")[0] for p in bad] == ["channel.paths.a21"]

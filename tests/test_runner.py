@@ -192,7 +192,8 @@ class TestRun:
         synthesis, two for the depth and two for the PSD artifacts (the
         sources' PSDs are the synthesis ones)."""
         src, _, r_l, r_h = runner._configured_record(cfg)
-        taps, _ = runner._train_taps(cfg, r_l, r_h)
+        taps, _ = runner._train_taps(cfg, r_l, r_h,
+                                     cfg.canceller.training_window)
         residual = canc.cancel(src.images.y12, src.images.y22, taps)
         want = met.cancellation_depth(src.images.y12, residual,
                                       runner.occupied_band(cfg))
@@ -342,7 +343,7 @@ class TestGroundTruth:
 
     def test_reference_noise_is_the_a22_draw(self, noisy):
         src, _, _, r_h = runner._configured_record(noisy)
-        chan_seed = runner._seed_ints(noisy.sim.seed, 3)[2]
+        chan_seed = runner._seed_ints(noisy.sim.seed)[2]
         stream = np.random.SeedSequence(chan_seed).spawn(4)[3]
         rng = np.random.default_rng(stream)
         n = len(r_h)
@@ -415,7 +416,8 @@ class TestSweepIsr:
         y12, y22 = src.images.y12, src.images.y22
         for isr, row in zip(isrs, rows):
             r_l, r_h = received(src.images, src.scale(isr))
-            taps, _ = runner._train_taps(noisy, r_l, r_h)
+            taps, _ = runner._train_taps(noisy, r_l, r_h,
+                                         noisy.canceller.training_window)
             want = met.cancellation_depth(y12, canc.cancel(y12, y22, taps),
                                           runner.occupied_band(noisy))
             assert row["error"] == ""
@@ -522,6 +524,28 @@ class TestSweepFormat:
                             lambda *a, **k: calls.append(1) or fn(*a, **k))
         rows = runner.sweep_format(cfg, ["qam32", "qpsk", "qam16"])
         assert [row["error"] == "" for row in rows] == [False, True, True]
+        assert len(calls) == 1
+
+    def test_off_mode_measures_off_only(self, cfg):
+        """With the canceller off, evm_on_pct and depth_db stay nan, as in
+        sweep-isr, and evm_off_pct is the reference mode's."""
+        off = replace(cfg, canceller=replace(cfg.canceller, mode="off"))
+        rows = runner.sweep_format(off, ["qpsk", "qam16"])
+        want = runner.sweep_format(cfg, ["qpsk", "qam16"])
+        for row, ref in zip(rows, want):
+            assert row["error"] == ""
+            assert math.isnan(row["evm_on_pct"])
+            assert math.isnan(row["depth_db"])
+            assert row["evm_off_pct"] == ref["evm_off_pct"]
+
+    def test_soi_synthesized_once_per_format(self, cfg, monkeypatch):
+        """Rows of one format share their sources."""
+        calls = []
+        fn = runner.generate_soi
+        monkeypatch.setattr(runner, "generate_soi",
+                            lambda *a, **k: calls.append(1) or fn(*a, **k))
+        rows = runner.sweep_format(cfg, ["qpsk", "qpsk"])
+        assert rows[0] == rows[1]
         assert len(calls) == 1
 
     def test_single_format_consistent(self, cfg):
