@@ -272,6 +272,9 @@ def _value(kind, raw, path: str, bad: list[str]):
             if reason is None:
                 return kind(raw)
     bad.append(f"{path}: {reason}, got {raw!r}")
+    if kind is str and isinstance(raw, bool):
+        bad[-1] += ("; YAML reads a bare on, off, yes or no as a boolean, "
+                    "so quote the value")
     return None
 
 

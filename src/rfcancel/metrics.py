@@ -235,7 +235,7 @@ def export_evm_csv(report: EvmReport, path: str | os.PathLike) -> None:
     """symbol_idx,err_re,err_im rows."""
     err = report.per_symbol_errors
     _write_csv(path, "symbol_idx,err_re,err_im", "%d,%.10e,%.10e",
-               range(err.size), err.real, err.imag)
+               np.arange(err.size), err.real, err.imag)
 
 
 def export_depth_csv(report: DepthReport, path: str | os.PathLike) -> None:

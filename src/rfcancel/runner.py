@@ -160,19 +160,22 @@ def _configured_record(cfg: ScenarioConfig):
 
 
 def _train_taps(cfg: ScenarioConfig, r_l: BasebandWaveform,
-                r_h: BasebandWaveform, window: int
-                ) -> tuple[canc.CancellerTaps, BasebandWaveform]:
+                r_h: BasebandWaveform, window: int, subtract: bool = True
+                ) -> tuple[canc.CancellerTaps, BasebandWaveform | None]:
     """Block training over the first ``window`` samples, plus the configured
     taps error.
 
     Returns the taps and r_H delayed by them over the full record: the one
-    delayed reference that every use of these taps shares.
+    delayed reference that every use of these taps shares.  A caller that
+    keeps only the taps passes ``subtract=False`` and gets None for it.
     """
     c = cfg.canceller
     err = c.taps_error
     taps, delayed = canc.train(r_l, r_h, window, c.max_lag_s, c.delay_refine)
     taps = canc.perturb_taps(taps, err.gain_mag, err.gain_phase_deg,
                              err.delay_s)
+    if not subtract:
+        return taps, None
     if err.delay_s:
         # the delay error moves the delay line off the trained delay
         delayed = true_time_delay(r_h, taps.delay)
@@ -307,7 +310,7 @@ def _write_artifacts(cfg: ScenarioConfig, src: Sources, scale: float,
     if "constellation" in kinds:
         aligned = m.evm.aligned
         _write_csv(path("constellation.csv"), "symbol_idx,re,im",
-                   "%d,%.10e,%.10e", range(aligned.size), aligned.real,
+                   "%d,%.10e,%.10e", np.arange(aligned.size), aligned.real,
                    aligned.imag)
         met.export_evm_csv(m.evm, path("evm_errors.csv"))
     if "psd" in kinds:
@@ -445,7 +448,7 @@ def train_sweep_taps(cfg: ScenarioConfig) -> canc.CancellerTaps:
     probe = _interference(cfg, fm_seed, cfg.sweep.train_samples,
                           cfg.sweep.train_carrier_hz or cfg.soi.carrier_hz)
     r_l, r_h = _path_pair(probe, cfg.channel.to_scenario(chan_seed))
-    return _train_taps(cfg, r_l, r_h, len(r_l))[0]
+    return _train_taps(cfg, r_l, r_h, len(r_l), subtract=False)[0]
 
 
 def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],

@@ -137,15 +137,107 @@ def _atomic_write(path: str | os.PathLike, payload: bytes) -> None:
         raise
 
 
+# "%.10e" in NumPy: |x| is scaled by a correctly rounded power of ten to an
+# 11-digit mantissa m, within 2.3e-5 of the exact product.  So m rounds as
+# the exact value does unless its fraction lies within _TIE_MARGIN of 0.5;
+# such cells, and those past _EXP_LIMIT (subnormals among them), 0, nan
+# and inf, are formatted by Python itself.
+_TIE_MARGIN = 1e-4
+_EXP_LIMIT = 280
+_POW10_MIN = -300
+_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 301)])
+# m's digits: floor(m / 10**k) is exact for integers m <= 1e11
+_PLACES = 10.0 ** np.arange(10, -1, -2)[:, None]
+# a cell's bytes that are not text: dropped before the file is written
+_FILLER = "\0"
+# text pieces of a cell, one array item each: the sign, leading digit and
+# point of a mantissa; two of its digits; its exponent
+_LEADS = np.frombuffer("".join(f"{s}{d}." for s in (_FILLER, "-")
+                               for d in range(10)).encode(), "V3")
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), "<u2")
+_EXPS = np.frombuffer("".join(f"e{k:+03d}".ljust(5, _FILLER)
+                              for k in range(-_EXP_LIMIT - 1, _EXP_LIMIT + 2)
+                              ).encode(), "V5")
+# the longest "%.10e" text that the NumPy path writes
+_E10_WIDTH = len("-1.2345678901e-123")
+
+
+def _put_e10(out: np.ndarray, x: np.ndarray) -> None:
+    """``"%.10e" % v`` for each v of ``x``, one per row of ``out``, with
+    filler where the text is shorter than the row."""
+    a = np.abs(x)
+    fast = (a >= 10.0**-_EXP_LIMIT) & (a < 10.0**_EXP_LIMIT)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    m = a * _POW10[10 - e - _POW10_MIN]
+    # log10 can be one off next to a power of ten
+    e += (m >= 1e11).astype(np.intp) - (m < 1e10)
+    m = a * _POW10[10 - e - _POW10_MIN]
+    r = np.rint(m)
+    fast &= np.abs(m - r) < 0.5 - _TIE_MARGIN
+    carry = r == 1e11               # 9.99999999995 rounds to 1.0 at e + 1
+    r[carry] = 1e10
+    e += carry
+    f = np.floor(r / _PLACES)
+    lead = f[0].astype(np.intp) + 10 * np.signbit(x)
+    pairs = (f[1:] - 100 * f[:-1]).astype(np.intp)
+    out[:, 0:3].view(_LEADS.dtype)[:, 0] = _LEADS[lead]
+    out[:, 3:13].view(_PAIRS.dtype)[:] = _PAIRS[pairs].T
+    out[:, 13:18].view(_EXPS.dtype)[:, 0] = _EXPS[e + _EXP_LIMIT + 1]
+    for i in np.flatnonzero(~fast):
+        text = ("%.10e" % x[i]).ljust(_E10_WIDTH, _FILLER)
+        out[i] = np.frombuffer(text.encode(), np.uint8)
+
+
+def _put_d(out: np.ndarray, v: np.ndarray) -> None:
+    """``"%d" % i`` for each i of ``v``, one per row of ``out``, right-aligned
+    after filler; ``out`` has a byte for the sign and one per digit of the
+    largest magnitude."""
+    neg = v < 0
+    mag = v.view(np.uint64).copy()
+    mag[neg] = -mag[neg]            # two's complement: int64 min too
+    places = np.uint64(10) ** np.arange(out.shape[1] - 2, -1, -1,
+                                        dtype=np.uint64)[:, None]
+    digits = mag // places % np.uint64(10) + np.uint64(ord("0"))
+    digits[places > np.maximum(mag, 1)] = ord(_FILLER)    # leading zeros
+    out[:, 1:] = digits.T
+    out[:, 0] = np.where(neg, ord("-"), ord(_FILLER))
+
+
 def _write_csv(path: str | os.PathLike, header: str, row: str,
                *columns) -> None:
     """Write ``header`` and one ``row % values`` line per entry of the
-    equal-length ``columns`` (atomically).  ``%`` gives the same text as an
-    f-string with the same format specs, nan, inf and -0.0 included."""
-    lines = [header]
-    lines.extend(row % values for values in
-                 zip(*(np.asarray(c).tolist() for c in columns)))
-    _atomic_write(path, ("\n".join(lines) + "\n").encode())
+    equal-length ``columns`` (atomically), byte for byte, where ``row``
+    joins ``%d`` and ``%.10e`` with commas.  ``%`` gives the same text as an
+    f-string with the same format specs, nan, inf and -0.0 included.
+
+    Each column is formatted as a whole into fixed-width byte rows, whose
+    filler bytes are then dropped.
+    """
+    specs = row.split(",")
+    if len(specs) != len(columns) or not set(specs) <= {"%d", "%.10e"}:
+        raise ValueError(f"row {row!r} does not format {len(columns)} "
+                         "columns of %d and %.10e")
+    cells = []
+    for spec, c in zip(specs, columns):
+        if spec == "%d":
+            c = np.asarray(c, dtype=np.int64)
+            top = max(-int(c.min(initial=0)), int(c.max(initial=0)))
+            width = 1 + len(str(top))
+        else:
+            c = np.asarray(c, dtype=np.float64)
+            width = _E10_WIDTH
+        cells.append((spec, c, width))
+    n = len(cells[0][1])
+    buf = np.empty((n, sum(w + 1 for _, _, w in cells)), np.uint8)
+    at = 0
+    for spec, c, width in cells:
+        (_put_d if spec == "%d" else _put_e10)(buf[:, at:at + width], c)
+        buf[:, at + width] = ord(",")
+        at += width + 1
+    buf[:, -1] = ord("\n")
+    _atomic_write(path, header.encode() + b"\n"
+                  + buf.tobytes().replace(_FILLER.encode(), b""))
 
 
 def save_waveform(w: BasebandWaveform, path: str | os.PathLike) -> None:

@@ -236,6 +236,17 @@ class TestBadInputs:
         assert main(["validate-config", "--config", path]) == 1
         assert "invalid: soi.symbol_rate_hz:" in capsys.readouterr().err
 
+    def test_bare_off_mode_says_to_quote_it(self, tmp_path, capsys):
+        """YAML 1.1 reads a bare ``off`` as false: the message says so."""
+        text = (ROOT / "configs" / "default.yaml").read_text()
+        assert "  mode: reference\n" in text
+        path = tmp_path / "off.yaml"
+        path.write_text(text.replace("  mode: reference\n", "  mode: off\n"))
+        assert main(["validate-config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid: canceller.mode: must be a string" in err
+        assert "so quote the value" in err
+
     # finite dB values whose 10**(x/20) overflowed, with a command that
     # reaches each field
     HUGE_DB = {

@@ -447,6 +447,32 @@ class TestSweepFrequency:
         assert lines[0] == "carrier_hz,depth_db,oracle_db,error"
 
 
+    def test_taps_delay_error_delays_the_record_once(self, monkeypatch):
+        """With a taps delay error the sweep keeps only the taps: its
+        training record is delayed once, by training, and the taps are the
+        trained ones with the configured error."""
+        cfg = load_config(CONFIG_DIR / "spectral_response.yaml")
+        c = cfg.canceller
+        c = replace(c, taps_error=replace(c.taps_error, delay_s=1e-12))
+        cfg = replace(cfg, canceller=c)
+        calls = []
+        delay = channel.true_time_delay
+        spy = lambda w, tau: calls.append(tau) or delay(w, tau)
+        monkeypatch.setattr(canc, "true_time_delay", spy)
+        monkeypatch.setattr(runner, "true_time_delay", spy)
+        taps = runner.train_sweep_taps(cfg)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        _, fm_seed, chan_seed, _ = runner._seed_ints(cfg.sim.seed)
+        probe = runner._interference(cfg, fm_seed, cfg.sweep.train_samples,
+                                     cfg.sweep.train_carrier_hz)
+        r_l, r_h = runner._path_pair(probe, cfg.channel.to_scenario(chan_seed))
+        want, _ = canc.train(r_l, r_h, len(r_l), c.max_lag_s, c.delay_refine)
+        want = canc.perturb_taps(want, c.taps_error.gain_mag,
+                                 c.taps_error.gain_phase_deg, 1e-12)
+        assert (taps.delay, taps.gain) == (want.delay, want.gain)
+        assert taps.delay == calls[0] + 1e-12
+
     def test_paths_draw_independent_noise(self, monkeypatch):
         """Training and probe records carry independent a12 and a22 noise,
         not one draw that the canceller would cancel as interference."""

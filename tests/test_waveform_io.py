@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from rfcancel.errors import RateMismatch, RfCancelError
 from rfcancel.waveform import (
@@ -143,7 +145,76 @@ class TestBinaryFormat:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def _per_row(header, row, *columns):
+    """The writer's former per-row text, kept as its reference."""
+    lines = [header]
+    lines.extend(row % values for values in
+                 zip(*(np.asarray(c).tolist() for c in columns)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _bits(b):
+    return float(np.array(b, np.uint64).view(np.float64))
+
+
+_DECADES = st.integers(-330, 310)
+_MANTISSAS = st.integers(10**10, 10**11 - 1)
+_ULPS = st.sampled_from([-np.inf, None, np.inf])
+_FLOATS = st.one_of(
+    # any float64 bit pattern: nan payloads, subnormals, +-max
+    st.integers(0, 2**64 - 1).map(_bits),
+    # the nearest float to a "%.10e" rounding tie d.ddddddddd5e<k>
+    st.builds(lambda m, k: float(f"{m}5e{k}"), _MANTISSAS, _DECADES),
+    # ties that floats hold exactly
+    _MANTISSAS.map(lambda m: m + 0.5),
+    _MANTISSAS.map(lambda m: float(10 * m + 5)),
+    # either side of a power of ten, rounding up into it or not
+    st.builds(lambda s, k: float(f"{s}e{k}"),
+              st.sampled_from(["1", "9.99999999995", "9.999999999949"]),
+              _DECADES),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# the value itself or its neighbouring float on either side
+_CELLS = st.builds(lambda x, to, sign: sign * (x if to is None
+                                               else np.nextafter(x, to)),
+                   _FLOATS, _ULPS, st.sampled_from([1.0, -1.0]))
+_INTS = st.one_of(st.integers(-2**63, 2**63 - 1),
+                  st.sampled_from([0, -1, 2**63 - 1, -2**63]))
+
+
 class TestWriteCsv:
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(_INTS, _CELLS, _CELLS), max_size=40))
+    @example(rows=[])
+    @example(rows=[(-2**63, 5e-324, -1.7976931348623157e308),
+                   (2**63 - 1, float("nan"), -0.0), (0, -np.inf, 0.0)])
+    def test_matches_per_row_text(self, tmp_path, rows):
+        """Column-wise text equals the per-row ``row % values`` text byte
+        for byte: any float64 bits, values at and next to rounding ties and
+        powers of ten, int64 extremes and empty columns."""
+        i, x, y = (np.array(c) for c in zip(*rows)) if rows else ([], [], [])
+        i = np.asarray(i, np.int64)
+        x, y = np.asarray(x, np.float64), np.asarray(y, np.float64)
+        path = tmp_path / "rows.csv"
+        for row, columns in (("%d,%.10e,%.10e", (i, x, y)),
+                             ("%.10e,%d", (y, i)), ("%.10e", (x,))):
+            _write_csv(path, "h", row, *columns)
+            assert path.read_bytes() == _per_row("h", row, *columns)
+
+    def test_every_decade_boundary(self, tmp_path):
+        """Each power of ten and each value that rounds up into one, and
+        their neighbouring floats, over the whole float64 range."""
+        x = np.array([float(f"{s}e{k}") for k in range(-324, 309)
+                      for s in ("1", "9.99999999995", "9.999999999949")])
+        x = x[np.isfinite(x)]
+        x = np.concatenate([x, np.nextafter(x, np.inf),
+                            np.nextafter(x, -np.inf)])
+        x = np.concatenate([x, -x])
+        path = tmp_path / "decades.csv"
+        _write_csv(path, "x", "%.10e", x)
+        assert path.read_bytes() == _per_row("x", "%.10e", x)
+
     def test_matches_fstring_rows(self, tmp_path):
         """%-formatted rows read exactly like f-string rows with the same
         specs, for the float edge cases included."""
