@@ -1,13 +1,19 @@
 """Tests for reference-aided cancellation and blind source separation."""
 
 import logging
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import optimize
 from scipy import signal as sig
 
 from rfcancel import canceller as canc
+from rfcancel import runner
 from rfcancel.channel import PathModel, apply_path, fractional_delay
+from rfcancel.config import load_config
 from rfcancel.errors import (
     AmbiguousLabeling,
     DegenerateReference,
@@ -360,6 +366,134 @@ class TestTrain:
         gain = canc.estimate_gain(r_l, canc.true_time_delay(r_h, delay))
         assert (taps.delay, taps.gain) == (delay, gain)
         assert len(ref) == len(r_h)
+
+
+def _tried(minimize, f, lo, hi, xatol):
+    """(x, every point tried) of one bounded search of f."""
+    points = []
+    x = minimize(lambda u: points.append(u) or f(u), lo, hi, xatol)
+    return x, points
+
+
+def _scipy_bounded(f, lo, hi, xatol):
+    return optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                    options={"xatol": xatol}).x
+
+
+def _assert_same_search(f, lo, hi, xatol):
+    """The in-package search tries scipy's points and returns its x, bit
+    for bit."""
+    x, points = _tried(canc._minimize_bounded, f, lo, hi, xatol)
+    want_x, want_points = _tried(_scipy_bounded, f, lo, hi, xatol)
+    assert (np.array(points, dtype=float).tobytes()
+            == np.array(want_points, dtype=float).tobytes())
+    assert np.float64(x).tobytes() == np.float64(want_x).tobytes()
+    return points
+
+
+def _objective(kind, lo, width, t, levels):
+    """A test function on [lo, lo + width]; t places its feature."""
+    c = lo + t * width
+    width = width or 1.0
+    if kind == "quadratic":
+        return lambda x: (x - c) * (x - c)
+    if kind == "cosine":
+        # three to four minima across the bounds
+        return lambda x: math.cos(7 * math.pi * (x - lo) / width + t)
+    if kind == "constant":
+        return lambda x: t
+    if kind == "step":
+        # a quantized quadratic: flat runs the parabola cannot fit
+        q = width / len(levels)
+        return lambda x: math.floor((x - c) * (x - c) / (q * q))
+    # plateaus of a few values: exact ties between the points tried
+    k = len(levels)
+    return lambda x: levels[min(max(int((x - lo) / width * k), 0), k - 1)]
+
+
+class TestMinimizeBounded:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["quadratic", "cosine", "constant", "step",
+                                 "plateaus"]),
+           lo=st.floats(-1e3, 1e3),
+           width=st.just(0.0) | st.floats(1e-6, 1e2),
+           t=st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 3.0),
+           xatol=st.floats(1e-12, 1.0),
+           levels=st.lists(st.integers(0, 2), min_size=1, max_size=60))
+    @example(kind="quadratic", lo=-1.0, width=2.0, t=0.3, xatol=1e-5,
+             levels=[0])
+    @example(kind="quadratic", lo=-1.0, width=2.0, t=0.0, xatol=1e-5,
+             levels=[0])
+    @example(kind="quadratic", lo=-1.0, width=2.0, t=1.0, xatol=1e-5,
+             levels=[0])
+    @example(kind="quadratic", lo=-1.0, width=2.0, t=-0.5, xatol=1e-5,
+             levels=[0])
+    @example(kind="quadratic", lo=-1.0, width=2.0, t=1.5, xatol=1e-5,
+             levels=[0])
+    # no tolerance: the search stops at the 500-evaluation cap
+    @example(kind="quadratic", lo=-1.0, width=2.0, t=0.5, xatol=0.0,
+             levels=[0])
+    # ties of the new point with the second and the third best
+    @example(kind="plateaus", lo=-1.0, width=1.0, t=0.0, xatol=1e-3,
+             levels=[2, 0, 2, 0, 2, 1, 2, 0, 0, 0])
+    @example(kind="plateaus", lo=1.0, width=2.0, t=0.0, xatol=1e-8,
+             levels=[2, 2, 2, 2, 1, 1, 0, 2, 2])
+    def test_matches_scipy(self, kind, lo, width, t, xatol, levels):
+        _assert_same_search(_objective(kind, lo, width, t, levels), lo,
+                            lo + width, xatol)
+
+    def test_residual_refine_objective_matches_scipy(self, monkeypatch):
+        """On spectral_response_flat.yaml's training record the correlation
+        objective sees the same search as scipy's, and the refine returns
+        its x."""
+        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
+                          / "spectral_response_flat.yaml")
+        searches = []
+        minimize = canc._minimize_bounded
+
+        def spy(f, lo, hi, xatol):
+            x = minimize(f, lo, hi, xatol)
+            searches.append((f, lo, hi, xatol, x))
+            return x
+
+        monkeypatch.setattr(canc, "_minimize_bounded", spy)
+        taps = runner.train_sweep_taps(cfg)
+        (f, lo, hi, xatol, x), = searches
+        assert taps.delay == x
+        fs = cfg.sim.sample_rate_hz
+        assert (hi - lo) * fs == pytest.approx(2.0)
+        assert xatol * fs == pytest.approx(1e-7)
+        points = _assert_same_search(f, lo, hi, xatol)
+        assert len(points) < 20
+
+
+class TestRefineValidSpan:
+    """The residual refine reads only samples r_L flags valid."""
+
+    @staticmethod
+    def _refined(n, head, tail, junk):
+        r_h = fm_wave(n, seed=8)
+        r_l = apply_path(r_h, PathModel(gain=0.8 - 0.3j, delay=2.3 / FS))
+        x = r_l.samples.copy()
+        x[:head] = junk
+        x[n - tail:] = junk
+        r_l = r_l.with_samples(x, invalid_head=max(head, r_l.invalid_head),
+                               invalid_tail=max(tail, r_l.invalid_tail))
+        return canc.refine_delay_by_residual(r_l, r_h, 2.25 / FS)
+
+    @pytest.mark.parametrize("n, head, tail", [(1 << 17, 400, 0),
+                                               (1 << 15, 0, 400)])
+    def test_invalid_samples_are_not_read(self, n, head, tail):
+        zeros = self._refined(n, head, tail, 0.0)
+        junk = self._refined(n, head, tail, 1e3)
+        assert zeros == junk
+        assert zeros * FS == pytest.approx(2.3, abs=1e-3)
+
+    def test_no_valid_span_keeps_coarse_delay(self):
+        r_h = fm_wave(1 << 10, seed=8)
+        r_l = apply_path(r_h, PathModel(gain=0.8, delay=2.3 / FS))
+        r_l = r_l.with_samples(r_l.samples, invalid_head=1000)
+        assert canc.refine_delay_by_residual(r_l, r_h, 2.25 / FS) == 2.25 / FS
 
 
 class TestSubtract:
