@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import fractional_delay, true_time_delay
+from .channel import _fast_length, fractional_delay, true_time_delay
 from .errors import (
     AmbiguousLabeling,
     DegenerateReference,
@@ -103,7 +103,7 @@ def _xcorr_peak(r_l: BasebandWaveform, r_h: BasebandWaveform,
         # circular correlation over nfft >= n + m points: lags -m..m do
         # not wrap onto any lag the record can hold
         m_lag = min(max_lag_samples, n - 1)
-        nfft = 1 << (n + m_lag - 1).bit_length()
+        nfft = _fast_length(n + m_lag)
         circ = np.fft.ifft(np.fft.fft(x, nfft) * np.conj(np.fft.fft(y, nfft)))
         corr = np.concatenate((circ[nfft - m_lag:], circ[: m_lag + 1]))
         lags = np.arange(-m_lag, m_lag + 1)

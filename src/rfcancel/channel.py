@@ -132,27 +132,17 @@ def fractional_delay(w: BasebandWaveform, tau: float,
     n_int = int(np.floor(total))
     frac = total - n_int
     x = w.samples
-    n = x.size
     if frac < max(snap, 1e-12) or frac > 1 - max(snap, 1e-12):
         # pure integer shift (fold any full-sample remainder into n_int)
         n_int += int(round(frac))
-        y = np.zeros_like(x)
-        if n_int >= 0:
-            y[n_int:] = x[: n - n_int]
-        else:
-            y[: n + n_int] = x[-n_int:]
-        kernel_margin = 0
+        filt, shift, kernel_margin = x, n_int, 0
     else:
-        h = _interp_kernel(frac)
-        center = INTERP_TAPS // 2
-        filt = np.convolve(x, h)  # full length; delays by center + frac
-        shift = n_int - center  # y[i] = filt[i - shift]
-        y = np.zeros_like(x)
-        lo = max(shift, 0)
-        hi = min(n, filt.size + shift)
-        if hi > lo:
-            y[lo:hi] = filt[lo - shift: hi - shift]
-        kernel_margin = INTERP_TAPS
+        # the full convolution delays by INTERP_TAPS // 2 + frac
+        filt = np.convolve(x, _interp_kernel(frac))
+        shift, kernel_margin = n_int - INTERP_TAPS // 2, INTERP_TAPS
+    y = np.zeros_like(x)  # y[i] = filt[i - shift]
+    lo, hi = max(shift, 0), min(x.size, filt.size + shift)
+    y[lo:hi] = filt[lo - shift: hi - shift]
     head = w.invalid_head + max(n_int, 0) + kernel_margin
     tail = w.invalid_tail + max(-n_int, 0) + kernel_margin
     return w.with_samples(y, invalid_head=head, invalid_tail=tail)

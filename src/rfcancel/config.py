@@ -35,8 +35,10 @@ SCHEMA_VERSION = 1
 CANCELLER_MODES = ("off", "reference", "bss")
 DELAY_REFINE_MODES = ("parabolic", "residual")
 CSV_KINDS = ("report", "constellation", "psd", "depth_curve", "waveforms")
-# samples in a record, sps * (n_symbols + span_symbols); 2**26 are 1 GiB
-RECORD_BUDGET = 2**26
+# samples in a record, sps * (n_symbols + span_symbols): 2**24 are 256 MiB
+# a complex record, and about 2 GiB at the 8 copies a run holds at its peak
+RECORD_BUDGET = 2**24
+BUDGET_TEXT = "2**24 samples (256 MiB a record, about 2 GiB at a run's peak)"
 # bound on every dB field: 10**(300/20) amplitude keeps a record's power
 # finite even with a path gain and the ISR both at the bound
 DB_LIMIT = 300.0
@@ -194,7 +196,7 @@ def _between(lo, hi):
 
 
 def _samples(v):
-    return None if 1 <= v <= RECORD_BUDGET else "must be in [1, 2**26]"
+    return None if 1 <= v <= RECORD_BUDGET else f"must be in [1, {BUDGET_TEXT}]"
 
 
 def _one_of(choices):
@@ -321,7 +323,7 @@ def _cross_checks(cfg: ScenarioConfig) -> list[str]:
         n = round(sps) * (sim.n_symbols + soi.span_symbols)
         if n > RECORD_BUDGET:
             bad.append(f"sim.n_symbols: a record of sps * (n_symbols + "
-                       f"span_symbols) = {n} samples exceeds 2**26")
+                       f"span_symbols) = {n} samples exceeds {BUDGET_TEXT}")
         # the delay search's own guard, on the training window and on the
         # frequency sweep's training record
         lag = cfg.canceller.max_lag_s * sim.sample_rate_hz

@@ -74,14 +74,8 @@ def demodulate(w: BasebandWaveform, cfg: DemodConfig) -> SymbolStream:
     taps = np.zeros(k_taps * sps)
     taps[: h.size] = h[::-1]
     taps = taps.reshape(k_taps, sps)
-    # the symbols whose windows lie inside x read it in place; the last few
-    # read a zero-padded copy of the record's end
-    inside = min(n, max(x.size // sps - k_taps + 1, 0))
-    symbols = _polyphase(x, taps, inside)
-    if inside < n:
-        symbols = np.concatenate(
-            [symbols, _polyphase(x[inside * sps:], taps, n - inside)])
-    return SymbolStream(symbols, cfg.format, w.sample_rate / sps)
+    return SymbolStream(_polyphase(x, taps, n), cfg.format,
+                        w.sample_rate / sps)
 
 
 def _polyphase(x: np.ndarray, taps: np.ndarray, n: int) -> np.ndarray:

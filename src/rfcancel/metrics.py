@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidLength, InvalidSegment, OutOfBand, RateMismatch
+from .errors import InvalidLength, InvalidSegment, OutOfBand
 from .sigsynth import SymbolStream, constellation
-from .waveform import BasebandWaveform, _write_csv, common_valid
+from .waveform import BasebandWaveform, _write_csv, check_aligned, common_valid
 
 DEFAULT_SEG_LEN = 4096
 # the shortest Welch segment: a 2-sample Hann window is all zeros, and a
@@ -152,12 +152,10 @@ def cancellation_depth(before: BasebandWaveform, after: BasebandWaveform,
     Zero residual power saturates at the numeric floor and sets the
     ``saturated`` flag.  ``before_psd`` is ``welch_psd(before)`` when the
     caller already has it; it stands in for that PSD when its segment is
-    the pair's ``segment_length``, and is recomputed otherwise.
+    the pair's ``segment_length``, and is recomputed otherwise.  Raises
+    RateMismatch unless the records pair up sample for sample.
     """
-    if before.sample_rate != after.sample_rate:
-        raise RateMismatch(
-            f"sample rates differ: {before.sample_rate} vs {after.sample_rate}"
-        )
+    check_aligned(before, after)
     nyq = before.sample_rate / 2
     lo, hi = band
     if lo >= hi or lo < -nyq or hi > nyq:
@@ -228,20 +226,19 @@ def sir_against_truth(output: BasebandWaveform, target: BasebandWaveform,
 def export_psd_csv(est: PsdEstimate, path: str | os.PathLike) -> None:
     """freq_hz,psd_db_hz rows."""
     db = 10 * np.log10(np.maximum(est.psd, np.finfo(float).tiny))
-    _write_csv(path, "freq_hz,psd_db_hz", "%.10e,%.10e", est.freqs, db)
+    _write_csv(path, "freq_hz,psd_db_hz", est.freqs, db)
 
 
 def export_evm_csv(report: EvmReport, path: str | os.PathLike) -> None:
     """symbol_idx,err_re,err_im rows."""
     err = report.per_symbol_errors
-    _write_csv(path, "symbol_idx,err_re,err_im", "%d,%.10e,%.10e",
-               np.arange(err.size), err.real, err.imag)
+    _write_csv(path, "symbol_idx,err_re,err_im", np.arange(err.size),
+               err.real, err.imag)
 
 
 def export_depth_csv(report: DepthReport, path: str | os.PathLike) -> None:
     """freq_hz,depth_db rows."""
-    _write_csv(path, "freq_hz,depth_db", "%.10e,%.10e", report.freqs,
-               report.curve_db)
+    _write_csv(path, "freq_hz,depth_db", report.freqs, report.curve_db)
 
 
 __all__ = [

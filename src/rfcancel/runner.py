@@ -310,8 +310,7 @@ def _write_artifacts(cfg: ScenarioConfig, src: Sources, scale: float,
     if "constellation" in kinds:
         aligned = m.evm.aligned
         _write_csv(path("constellation.csv"), "symbol_idx,re,im",
-                   "%d,%.10e,%.10e", np.arange(aligned.size), aligned.real,
-                   aligned.imag)
+                   np.arange(aligned.size), aligned.real, aligned.imag)
         met.export_evm_csv(m.evm, path("evm_errors.csv"))
     if "psd" in kinds:
         # the sources' PSDs are the ones synthesis calibrated the ISR on

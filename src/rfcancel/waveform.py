@@ -204,35 +204,31 @@ def _put_d(out: np.ndarray, v: np.ndarray) -> None:
     out[:, 0] = np.where(neg, ord("-"), ord(_FILLER))
 
 
-def _write_csv(path: str | os.PathLike, header: str, row: str,
-               *columns) -> None:
-    """Write ``header`` and one ``row % values`` line per entry of the
-    equal-length ``columns`` (atomically), byte for byte, where ``row``
-    joins ``%d`` and ``%.10e`` with commas.  ``%`` gives the same text as an
-    f-string with the same format specs, nan, inf and -0.0 included.
+def _write_csv(path: str | os.PathLike, header: str, *columns) -> None:
+    """Write ``header`` and one line per entry of the equal-length
+    ``columns`` (atomically), byte for byte the text of ``%d`` for a column
+    of integer dtype and of ``%.10e`` for any other, joined by commas.
+    ``%`` gives the same text as an f-string with the same format specs,
+    nan, inf and -0.0 included.
 
     Each column is formatted as a whole into fixed-width byte rows, whose
     filler bytes are then dropped.
     """
-    specs = row.split(",")
-    if len(specs) != len(columns) or not set(specs) <= {"%d", "%.10e"}:
-        raise ValueError(f"row {row!r} does not format {len(columns)} "
-                         "columns of %d and %.10e")
     cells = []
-    for spec, c in zip(specs, columns):
-        if spec == "%d":
+    for c in columns:
+        c = np.asarray(c)
+        if np.issubdtype(c.dtype, np.integer):
             c = np.asarray(c, dtype=np.int64)
             top = max(-int(c.min(initial=0)), int(c.max(initial=0)))
-            width = 1 + len(str(top))
+            cells.append((_put_d, c, 1 + len(str(top))))
         else:
-            c = np.asarray(c, dtype=np.float64)
-            width = _E10_WIDTH
-        cells.append((spec, c, width))
+            cells.append((_put_e10, np.asarray(c, dtype=np.float64),
+                          _E10_WIDTH))
     n = len(cells[0][1])
     buf = np.empty((n, sum(w + 1 for _, _, w in cells)), np.uint8)
     at = 0
-    for spec, c, width in cells:
-        (_put_d if spec == "%d" else _put_e10)(buf[:, at:at + width], c)
+    for put, c, width in cells:
+        put(buf[:, at:at + width], c)
         buf[:, at + width] = ord(",")
         at += width + 1
     buf[:, -1] = ord("\n")

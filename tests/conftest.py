@@ -31,3 +31,11 @@ def white_wave(n=65536, fs=FS, seed=0, power=1.0, center_freq=0.0):
 def tone_wave(freq, n=32768, fs=FS, center_freq=0.0, amp=1.0):
     t = np.arange(n) / fs
     return BasebandWaveform(amp * np.exp(2j * np.pi * freq * t), fs, center_freq)
+
+
+def five_smooth(m):
+    """True when m's only prime factors are 2, 3 and 5."""
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1

@@ -25,7 +25,7 @@ from rfcancel.metrics import sir_against_truth
 from rfcancel.sigsynth import generate_soi, random_symbols
 from rfcancel.waveform import BasebandWaveform
 
-from conftest import FS, fm_wave, tone_wave, white_wave
+from conftest import FS, five_smooth, fm_wave, tone_wave, white_wave
 
 
 class TestEstimateDelay:
@@ -98,6 +98,27 @@ class TestXcorrPeak:
         want_lag, want_peak = _full_xcorr_peak(r_l.samples, r_h.samples,
                                                max_lag)
         got_lag, got_peak = canc._xcorr_peak(r_l, r_h, max_lag)
+        assert got_lag == pytest.approx(want_lag, abs=1e-9)
+        assert got_peak == pytest.approx(want_peak, rel=1e-12)
+
+    def test_transforms_at_the_least_five_smooth_length(self, monkeypatch):
+        """Beyond 64 lags the correlation transforms at the least 5-smooth
+        length holding the window and its lags: 131,220 = 2**2 * 3**8 * 5
+        for 131,072 samples and 100 lags, not 262,144."""
+        n, max_lag = 131_072, 100
+        r_l, r_h = _lagged_pair(n, 37)
+        sizes = []
+        def spy(a, m=None, *args, _f=np.fft.fft, **kw):
+            sizes.append(m)
+            return _f(a, m, *args, **kw)
+        monkeypatch.setattr(np.fft, "fft", spy)
+        got_lag, got_peak = canc._xcorr_peak(r_l, r_h, max_lag)
+        assert len(sizes) == 2
+        for m in sizes:
+            assert m >= n + max_lag and five_smooth(m)
+            assert not any(five_smooth(k) for k in range(n + max_lag, m))
+        want_lag, want_peak = _full_xcorr_peak(r_l.samples, r_h.samples,
+                                               max_lag)
         assert got_lag == pytest.approx(want_lag, abs=1e-9)
         assert got_peak == pytest.approx(want_peak, rel=1e-12)
 

@@ -26,16 +26,9 @@ from rfcancel.config import load_config
 from rfcancel.errors import DelayTooLarge, RateMismatch, RfCancelError
 from rfcancel.waveform import BasebandWaveform
 
-from conftest import FS, fm_wave, tone_wave, white_wave
+from conftest import FS, five_smooth, fm_wave, tone_wave, white_wave
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-
-def five_smooth(m):
-    for p in (2, 3, 5):
-        while m % p == 0:
-            m //= p
-    return m == 1
 
 
 class TestModulatorResponse:

@@ -179,19 +179,40 @@ class TestRules:
             assert problems(DEFAULT, keys, 84) == []
 
     def test_record_over_budget_rejected(self):
-        # 40 samples per symbol: the record passes 2**26 samples here
+        # 40 samples per symbol: the record passes RECORD_BUDGET samples here
         n = RECORD_BUDGET // 40
         bad = problems(DEFAULT, ("sim", "n_symbols"), n)
         assert [p.split(":")[0] for p in bad] == ["sim.n_symbols"]
         assert problems(DEFAULT, ("sim", "n_symbols"), n - 16) == []
 
+    @pytest.mark.parametrize("samples", [2**24 + 1, 2**26])
+    def test_record_past_the_peak_budget_exits_1(self, samples, tmp_path,
+                                                 capsys):
+        """A record of more than 2**24 samples, which a run would hold 8
+        times over at its peak (past 2 GiB), exits 1 naming sim.n_symbols
+        before anything is allocated."""
+        sps = round(DEFAULT["sim"]["sample_rate_hz"]
+                    / DEFAULT["soi"]["symbol_rate_hz"])
+        n = -(-samples // sps) - DEFAULT["soi"]["span_symbols"]
+        tree = mutated(DEFAULT, ("sim", "n_symbols"), n)
+        assert [p.split(":")[0] for p in validate_tree(tree)] == [
+            "sim.n_symbols"]
+        path = tmp_path / "big.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        assert main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: sim.n_symbols:") and "2 GiB" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("probe_samples", -5), ("probe_samples", 0),
         ("probe_samples", 10**12), ("train_samples", 0),
-        ("train_samples", 10**12), ("probe_offset_hz", 1.0e12),
+        ("train_samples", 2**24 + 1), ("train_samples", 10**12),
+        ("probe_offset_hz", 1.0e12),
         ("probe_offset_hz", -95.1e6)])
     def test_sweep_section_bounded(self, key, value, tmp_path, capsys):
-        """Sample counts lie in [1, 2**26], and the probe's depth band,
+        """Sample counts lie in [1, 2**24], and the probe's depth band,
         5 MHz either side of its offset, inside the sampled band."""
         tree = mutated(SHIPPED["spectral_response.yaml"], ("sweep", key), value)
         assert [p.split(":")[0] for p in validate_tree(tree)] == [
@@ -272,6 +293,11 @@ MUTATIONS = {
     "string": lambda value: "x",
     "list": lambda value: [1, 2],
     "none": lambda value: None,
+    # out of range for most numbers: the range rules and cross-checks
+    "zero": lambda value: 0,
+    "minus one": lambda value: -1,
+    "tiny": lambda value: 1e-300,
+    "huge": lambda value: 1e300,
 }
 
 

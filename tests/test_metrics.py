@@ -221,6 +221,14 @@ class TestCancellationDepth:
         with pytest.raises(OutOfBand):
             met.cancellation_depth(w, w, (-FS, FS))
 
+    def test_unequal_lengths_raise(self):
+        """Records of unequal length are refused, not measured over
+        different spans."""
+        before = white_wave(8192, seed=1)
+        after = white_wave(8000, seed=2)
+        with pytest.raises(RateMismatch, match="lengths differ"):
+            met.cancellation_depth(before, after, (-50e6, 50e6))
+
 
 class TestEvm:
     def _streams(self, n=10_000, fmt="qpsk", seed=0):

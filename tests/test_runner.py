@@ -2,10 +2,12 @@
 
 import copy
 import csv
+import doctest
 import json
 import logging
 import math
 import os
+import re
 import stat
 import tracemalloc
 from dataclasses import replace
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
+import rfcancel
 from rfcancel import canceller as canc
 from rfcancel import channel
 from rfcancel import metrics as met
@@ -683,3 +686,24 @@ def test_table_header_is_row_keys(cfg, tmp_path, table):
 def test_empty_sweep_writes_header_only(cfg, tmp_path, table, header):
     assert _run_sweep(table, cfg, tmp_path, []) == []
     assert (tmp_path / table).read_text() == header + "\n"
+
+
+def test_documented_library_use_runs(monkeypatch, capsys):
+    """README.md's library example runs and matches the 15 ns delay its
+    paths differ by, and the package docstring's quick start runs from
+    the repository root."""
+    root = CONFIG_DIR.parent
+    readme = (root / "README.md").read_text()
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", readme,
+                      re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    delay = re.fullmatch(r"matched delay (\S+) ns, training residual (\S+) "
+                         r"dB\n", printed)
+    assert delay and abs(float(delay.group(1)) - 15.0) < 0.1, printed
+    monkeypatch.chdir(root)
+    quick_start = doctest.DocTestParser().get_doctest(
+        rfcancel.__doc__, {}, "rfcancel", None, 0)
+    result = doctest.DocTestRunner().run(quick_start)
+    # the three examples before the skipped report.evm_pct
+    assert (result.attempted, result.failed) == (3, 0)

@@ -199,7 +199,7 @@ class TestWriteCsv:
         path = tmp_path / "rows.csv"
         for row, columns in (("%d,%.10e,%.10e", (i, x, y)),
                              ("%.10e,%d", (y, i)), ("%.10e", (x,))):
-            _write_csv(path, "h", row, *columns)
+            _write_csv(path, "h", *columns)
             assert path.read_bytes() == _per_row("h", row, *columns)
 
     def test_every_decade_boundary(self, tmp_path):
@@ -212,7 +212,7 @@ class TestWriteCsv:
                             np.nextafter(x, -np.inf)])
         x = np.concatenate([x, -x])
         path = tmp_path / "decades.csv"
-        _write_csv(path, "x", "%.10e", x)
+        _write_csv(path, "x", x)
         assert path.read_bytes() == _per_row("x", "%.10e", x)
 
     def test_matches_fstring_rows(self, tmp_path):
@@ -223,13 +223,12 @@ class TestWriteCsv:
         z = np.empty(x.size, dtype=complex)
         z.real, z.imag = x, x[::-1]
         path = tmp_path / "rows.csv"
-        _write_csv(path, "i,re,im,x", "%d,%.10e,%.10e,%.10e",
-                   range(x.size), z.real, z.imag, x)
+        _write_csv(path, "i,re,im,x", range(x.size), z.real, z.imag, x)
         want = ["i,re,im,x"] + [f"{i},{c.real:.10e},{c.imag:.10e},{v:.10e}"
                                 for i, (c, v) in enumerate(zip(z, x))]
         assert path.read_text() == "\n".join(want) + "\n"
 
     def test_empty_columns_write_the_header(self, tmp_path):
         path = tmp_path / "empty.csv"
-        _write_csv(path, "a,b", "%.10e,%.10e", np.array([]), np.array([]))
+        _write_csv(path, "a,b", np.array([]), np.array([]))
         assert path.read_text() == "a,b\n"
