@@ -273,12 +273,8 @@ def subtract(r_l: BasebandWaveform, ref: BasebandWaveform, gain: complex,
     then holds the result; the values are the same either way.
     """
     check_aligned(r_l, ref)
-    if in_place:
-        # the same two operations, in this order, as the expression below
-        y = np.multiply(gain, ref.samples, out=ref.samples)
-        np.subtract(r_l.samples, y, out=y)
-    else:
-        y = r_l.samples - gain * ref.samples
+    y = np.multiply(gain, ref.samples, out=ref.samples if in_place else None)
+    np.subtract(r_l.samples, y, out=y)
     head, tail = merge_invalid(r_l, ref)
     return r_l.with_samples(y, invalid_head=head, invalid_tail=tail)
 
@@ -303,8 +299,7 @@ def _prefix(w: BasebandWaveform, n: int, margin: int = 0) -> BasebandWaveform:
     that they reach; ``w``'s last ``margin`` invalid samples, a delay's own
     edge, stay invalid at the end of the prefix as well."""
     tail = max(w.invalid_tail - margin - (len(w) - n), 0) + margin
-    return BasebandWaveform(w.samples[:n], w.sample_rate, w.center_freq,
-                            w.invalid_head, tail)
+    return w.with_samples(w.samples[:n], invalid_tail=tail)
 
 
 def train(r_l: BasebandWaveform, r_h: BasebandWaveform, window: int,

@@ -25,6 +25,8 @@ INTERP_BETA = 8.0
 # realized as integer shifts; the phase error this introduces sits at the
 # interpolation error floor
 INTERP_SNAP = 1e-4
+# interpolator blocks per matrix product (each real temporary about 256 KB)
+FIR_CHUNK = 512
 RESPONSE_KINDS = ("flat", "butterworth_lowpass")
 # frequency bins per evaluation of a response: the evaluation's
 # temporaries have this length and stay in cache, where record-length ones
@@ -114,15 +116,50 @@ def _interp_kernel(frac: float) -> np.ndarray:
     return h / np.sum(h)
 
 
+def _fir(x: np.ndarray, k: np.ndarray, start: int, n: int) -> np.ndarray:
+    """y[i] = sum_t k[t] * x[start + i - t] for i < n, x zero outside its
+    span, for a real kernel of at most INTERP_TAPS + 1 taps.
+
+    Output block b (B = INTERP_TAPS samples) is input rows b and b + 1 of
+    the zero-padded x, cut into B-sample rows, times the two halves of the
+    (2B, B) matrix of shifted kernels; real and imaginary parts run apart
+    as real matrix products, FIR_CHUNK blocks at a time.
+    """
+    b = INTERP_TAPS
+    t = np.arange(b) + b - np.arange(2 * b)[:, None]
+    mat = np.where((t >= 0) & (t < k.size), k[np.clip(t, 0, k.size - 1)], 0.0)
+    n_blocks = -(-n // b)
+    rows = np.empty((2, (min(FIR_CHUNK, n_blocks) + 1) * b))
+    y = np.empty(n, dtype=np.complex128)
+    for b0 in range(0, n_blocks, FIR_CHUNK):
+        m = min(FIR_CHUNK, n_blocks - b0)
+        chunk = rows[:, :(m + 1) * b]
+        first = start + (b0 - 1) * b  # x index of the chunk's first sample
+        lo, hi = max(first, 0), min(first + chunk.shape[1], x.size)
+        if hi - lo < chunk.shape[1]:
+            chunk[:] = 0.0
+        if lo < hi:
+            chunk[0, lo - first:hi - first] = x.real[lo:hi]
+            chunk[1, lo - first:hi - first] = x.imag[lo:hi]
+        blocks = chunk.reshape(2, m + 1, b)
+        out = blocks[:, :-1] @ mat[:b]
+        out += blocks[:, 1:] @ mat[b:]
+        seg = y[b0 * b:(b0 + m) * b]
+        seg.real = out[0].reshape(-1)[:seg.size]
+        seg.imag = out[1].reshape(-1)[:seg.size]
+    return y
+
+
 def fractional_delay(w: BasebandWaveform, tau: float,
                      snap: float = INTERP_SNAP) -> BasebandWaveform:
     """Delay the envelope by tau seconds (envelope shift only).
 
     Integer sample shifts move data exactly; the fractional remainder goes
-    through a 64-tap Kaiser-windowed sinc interpolator.  Samples shifted in
-    from outside the record are zero and flagged invalid.  ``snap`` is the
-    threshold below which a fractional part is realized as an integer
-    shift; continuous-search callers set it to 0.
+    through a 64-tap Kaiser-windowed sinc interpolator, run as a blocked
+    matrix product (``_fir``).  Samples shifted in from outside the record
+    are zero and flagged invalid.  ``snap`` is the threshold below which a
+    fractional part is realized as an integer shift; continuous-search
+    callers set it to 0.
     """
     if abs(tau) >= w.duration:
         raise DelayTooLarge(
@@ -135,14 +172,16 @@ def fractional_delay(w: BasebandWaveform, tau: float,
     if frac < max(snap, 1e-12) or frac > 1 - max(snap, 1e-12):
         # pure integer shift (fold any full-sample remainder into n_int)
         n_int += int(round(frac))
-        filt, shift, kernel_margin = x, n_int, 0
+        y = np.empty_like(x)  # y[i] = x[i - n_int]
+        lo, hi = max(n_int, 0), min(x.size, x.size + n_int)
+        y[:lo] = 0
+        y[hi:] = 0
+        y[lo:hi] = x[lo - n_int:hi - n_int]
+        kernel_margin = 0
     else:
-        # the full convolution delays by INTERP_TAPS // 2 + frac
-        filt = np.convolve(x, _interp_kernel(frac))
-        shift, kernel_margin = n_int - INTERP_TAPS // 2, INTERP_TAPS
-    y = np.zeros_like(x)  # y[i] = filt[i - shift]
-    lo, hi = max(shift, 0), min(x.size, filt.size + shift)
-    y[lo:hi] = filt[lo - shift: hi - shift]
+        # the kernel delays by INTERP_TAPS // 2 + frac
+        y = _fir(x, _interp_kernel(frac), INTERP_TAPS // 2 - n_int, x.size)
+        kernel_margin = INTERP_TAPS
     head = w.invalid_head + max(n_int, 0) + kernel_margin
     tail = w.invalid_tail + max(-n_int, 0) + kernel_margin
     return w.with_samples(y, invalid_head=head, invalid_tail=tail)
@@ -153,11 +192,12 @@ def true_time_delay(w: BasebandWaveform, tau: float) -> BasebandWaveform:
 
     This is the delay a cable or optical line applies to the RF signal the
     envelope represents; the carrier rotation makes the operation
-    frequency-selective across scenario carriers.
+    frequency-selective across scenario carriers.  The rotation is applied
+    in place to the delay line's own new record.
     """
     out = fractional_delay(w, tau)
-    rot = np.exp(-2j * np.pi * w.center_freq * tau)
-    return out.with_samples(out.samples * rot)
+    out.samples *= np.exp(-2j * np.pi * w.center_freq * tau)
+    return out
 
 
 def _fast_length(n: int) -> int:
@@ -306,10 +346,11 @@ def path_images(soi: BasebandWaveform, interference: BasebandWaveform,
     drawn from ``path_rngs``."""
     check_aligned(soi, interference)
     rng11, rng12, _, rng22 = path_rngs(scenario)
+    # the SOI image last: it is not live beside a response's FFT buffers
+    y12 = _image(interference, scenario.a12)
+    y22 = _image(interference, scenario.a22)
     return PathImages(
-        y11=_image(soi, scenario.a11),
-        y12=_image(interference, scenario.a12),
-        y22=_image(interference, scenario.a22),
+        y11=_image(soi, scenario.a11), y12=y12, y22=y22,
         n_l=_sum_noise(_noise(scenario.a11, soi, rng11),
                        _noise(scenario.a12, interference, rng12)),
         n_h=_noise(scenario.a22, interference, rng22),

@@ -2,8 +2,9 @@
 
 Each run is a pure function of (config, seed): random streams are spawned
 from the scenario seed, so identical configs produce byte-identical CSV
-artifacts.  Sweeps reuse the base seed per row, varying only the swept
-parameter.
+artifacts for the same config, seed, machine and BLAS thread count (BLAS
+reductions may sum in another order on more threads).  Sweeps reuse the
+base seed per row, varying only the swept parameter.
 """
 
 from __future__ import annotations

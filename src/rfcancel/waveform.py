@@ -29,6 +29,8 @@ class BasebandWaveform:
     elements which part of the RF spectrum this envelope represents.
     ``invalid_head``/``invalid_tail`` count edge samples ruined by delay
     interpolation; metrics exclude them.
+    The constructor rejects non-finite samples where they enter the
+    program; ``with_samples`` derives waveforms without that scan.
     """
 
     samples: np.ndarray
@@ -38,13 +40,18 @@ class BasebandWaveform:
     invalid_tail: int = 0
 
     def __post_init__(self):
+        self._settle()
+        if not np.all(np.isfinite(self.samples.view(np.float64))):
+            raise RfCancelError("waveform contains non-finite samples")
+
+    def _settle(self) -> None:
+        """Convert the samples to complex128, check the rate and the size,
+        and clamp the invalid edges to the record."""
         self.samples = np.asarray(self.samples, dtype=np.complex128)
         if self.sample_rate <= 0:
             raise RfCancelError(f"sample_rate must be > 0, got {self.sample_rate}")
         if self.samples.size == 0:
             raise RfCancelError("waveform must contain at least one sample")
-        if not np.all(np.isfinite(self.samples.view(np.float64))):
-            raise RfCancelError("waveform contains non-finite samples")
         self.invalid_head = int(min(max(self.invalid_head, 0), self.samples.size))
         self.invalid_tail = int(min(max(self.invalid_tail, 0), self.samples.size))
 
@@ -71,15 +78,12 @@ class BasebandWaveform:
         return float(np.mean(np.abs(v) ** 2))
 
     def with_samples(self, samples: np.ndarray, **overrides) -> "BasebandWaveform":
-        """Copy metadata onto a new sample array."""
-        kw = dict(
-            sample_rate=self.sample_rate,
-            center_freq=self.center_freq,
-            invalid_head=self.invalid_head,
-            invalid_tail=self.invalid_tail,
-        )
-        kw.update(overrides)
-        return BasebandWaveform(samples=samples, **kw)
+        """Copy metadata onto a new sample array, which the package derived
+        from finite samples: it is not scanned for non-finite values."""
+        out = object.__new__(BasebandWaveform)
+        vars(out).update(vars(self), samples=samples, **overrides)
+        out._settle()
+        return out
 
 
 def merge_invalid(*waves: BasebandWaveform) -> tuple[int, int]:

@@ -1,5 +1,8 @@
 """Tests for the 2x2 mixing channel, path model, and fractional delay."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,8 @@ from rfcancel.waveform import BasebandWaveform
 
 from conftest import FS, five_smooth, fm_wave, tone_wave, white_wave
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 class TestModulatorResponse:
@@ -154,6 +158,12 @@ class TestFractionalDelay:
     @pytest.mark.parametrize("n, delay", [
         (4096, 7 + 2 * INTERP_SNAP), (4096, 7.5), (4096, 8 - 2 * INTERP_SNAP),
         (4096, -3.3), (4096, -0.5), (40, 1.25), (40, -2.75),
+        # not a whole number of 64-sample blocks, and shorter than one
+        (4099, 7.5), (4099, -3.3), (63, 1.25), (63, -2.75), (63, 40.3),
+        # the zero padding makes the whole head, then the whole tail
+        (4096, 40.3), (4096, -40.3),
+        # the bench's record
+        (164480, 3.0137),
     ])
     def test_matches_fftconvolve_form(self, n, delay):
         """The direct-form filter gives the FFT convolution's numbers."""
@@ -177,6 +187,41 @@ class TestFractionalDelay:
         want = np.sinc(x) * i0(8.0 * np.sqrt(arg)) / i0(8.0)
         want /= np.sum(want)
         assert np.max(np.abs(_interp_kernel(frac) - want)) <= 1e-15
+
+    @pytest.mark.parametrize("delay", [0.0, 5.0, 2.37, -3.3])
+    @pytest.mark.parametrize("delay_line", [fractional_delay, true_time_delay])
+    def test_input_is_not_written(self, delay_line, delay):
+        """Each delay returns a record of its own, and the in-place
+        carrier rotation never reaches the input."""
+        w = white_wave(4099, center_freq=2.4e9)
+        before = w.samples.copy()
+        out = delay_line(w, delay / FS)
+        assert np.array_equal(w.samples, before)
+        assert not np.shares_memory(out.samples, w.samples)
+
+    def test_blas_thread_count_leaves_the_bytes(self):
+        """The blocked interpolator gives the same bytes on one BLAS
+        thread as on two."""
+        code = ("import hashlib\n"
+                "import numpy as np\n"
+                "from rfcancel.channel import fractional_delay\n"
+                "from rfcancel.waveform import BasebandWaveform\n"
+                "r = np.random.default_rng(7)\n"
+                "x = r.standard_normal(164480) + 1j * r.standard_normal(164480)\n"
+                "y = fractional_delay(BasebandWaveform(x, 2e8), 3.0137 / 2e8)\n"
+                "print(hashlib.sha256(y.samples.tobytes()).hexdigest())\n")
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path,
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
     def test_true_time_delay_rotates_carrier(self):
         w = tone_wave(1e6, n=4096, center_freq=2.4e9)

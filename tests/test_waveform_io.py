@@ -32,6 +32,32 @@ class TestBasebandWaveform:
             BasebandWaveform(np.array([1.0, np.nan]), sample_rate=FS)
         with pytest.raises(RfCancelError):
             BasebandWaveform(np.array([1.0, np.inf * 1j]), sample_rate=FS)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(RfCancelError, match="non-finite"):
+                BasebandWaveform(np.array([bad]), FS)
+
+    def test_load_rejects_non_finite(self, tmp_path):
+        """Samples from outside the program are checked where they enter."""
+        path = tmp_path / "w.rcwv"
+        save_waveform(white_wave(64), path)
+        raw = bytearray(path.read_bytes())
+        body = np.frombuffer(raw, "<f4", offset=len(raw) - 64 * 8)
+        body[37] = np.nan
+        path.write_bytes(raw)
+        with pytest.raises(RfCancelError, match="non-finite"):
+            load_waveform(path)
+
+    def test_with_samples_converts_and_clamps(self):
+        """A derived waveform skips the finiteness scan only: its samples
+        are still complex128 and its invalid edges lie in the record."""
+        w = BasebandWaveform(np.ones(8, dtype=complex), FS, center_freq=2.4e9)
+        out = w.with_samples(np.arange(5), invalid_head=9, invalid_tail=-2)
+        assert out.samples.dtype == np.complex128
+        assert np.array_equal(out.samples, np.arange(5))
+        assert (out.invalid_head, out.invalid_tail) == (5, 0)
+        assert (out.sample_rate, out.center_freq) == (FS, 2.4e9)
+        with pytest.raises(RfCancelError):
+            w.with_samples(np.array([]))
 
     def test_valid_view(self):
         w = BasebandWaveform(np.arange(10, dtype=complex), FS,
