@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -410,18 +410,10 @@ def bss_separate(x1: BasebandWaveform, x2: BasebandWaveform,
     demix = unmix @ whiten
     # statistics come from the trimmed window, outputs keep full length so
     # they stay sample-aligned with the inputs
-    sources = demix @ full
-    outputs = [
-        x1.with_samples(s, invalid_head=head, invalid_tail=tail)
-        for s in sources
-    ]
-    return SeparationResult(
-        outputs=outputs,
-        demix=demix,
-        iterations=iterations,
-        converged=converged,
-        free_parameters=4,
-    )
+    outputs = [x1.with_samples(s, invalid_head=head, invalid_tail=tail)
+               for s in demix @ full]
+    return SeparationResult(outputs, demix, iterations, converged,
+                            free_parameters=4)
 
 
 def resolve_permutation(result: SeparationResult,
@@ -448,13 +440,7 @@ def resolve_permutation(result: SeparationResult,
     soi = result.outputs[1 - int_idx]
     rms = np.sqrt(np.mean(np.abs(soi.valid) ** 2))
     soi = soi.with_samples(soi.samples / rms)
-    return SeparationResult(
-        outputs=[soi, result.outputs[int_idx]],
-        demix=result.demix,
-        iterations=result.iterations,
-        converged=result.converged,
-        free_parameters=result.free_parameters,
-    )
+    return replace(result, outputs=[soi, result.outputs[int_idx]])
 
 
 __all__ = [

@@ -25,13 +25,13 @@ INTERP_BETA = 8.0
 # realized as integer shifts; the phase error this introduces sits at the
 # interpolation error floor
 INTERP_SNAP = 1e-4
-# interpolator blocks per matrix product (each real temporary about 256 KB)
+# FIR blocks per matrix product (each real temporary at most about 256 KB)
 FIR_CHUNK = 512
 RESPONSE_KINDS = ("flat", "butterworth_lowpass")
-# frequency bins per evaluation of a response: the evaluation's
-# temporaries have this length and stay in cache, where record-length ones
-# made it take as long as a transform
-RESPONSE_CHUNK = 16384
+# a Butterworth response runs as a RESPONSE_TAPS-tap FIR fitted over |f| <=
+# RESPONSE_BAND * sample_rate, where the config rules keep the signals
+RESPONSE_TAPS = 9
+RESPONSE_BAND = 0.3
 
 
 @dataclass
@@ -61,15 +61,8 @@ class ModulatorResponse:
         n = self.order
         poles = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2) / (2 * n))
         a = np.poly(poles).real
-        s = 1j * (np.abs(f) / self.f3db)
-        # Horner's rule, the arithmetic of np.polyval, updating h in place:
-        # no temporary per coefficient, only the grid s and h are allocated
-        h = np.full(f.shape, a[0], dtype=np.complex128)
-        for c in a[1:]:
-            h *= s
-            h += c
-        np.divide(1, h, out=h)
-        return np.conjugate(h, out=h, where=f < 0)
+        h = 1 / np.polyval(a, 1j * (np.abs(f) / self.f3db))
+        return np.where(f < 0, np.conj(h), h)
 
 
 @dataclass
@@ -116,18 +109,42 @@ def _interp_kernel(frac: float) -> np.ndarray:
     return h / np.sum(h)
 
 
+# the fit grid in units of the sample rate, and the real matrix that takes
+# [Re h; Im h] to [Re; Im] of sum_j h[j] exp(-2j pi g (j - RESPONSE_TAPS // 2))
+_FIT_GRID = np.linspace(-RESPONSE_BAND, RESPONSE_BAND, 121)
+_ARG = 2 * np.pi * np.outer(_FIT_GRID,
+                            np.arange(RESPONSE_TAPS) - RESPONSE_TAPS // 2)
+_DESIGN = np.block([[np.cos(_ARG), np.sin(_ARG)],
+                    [-np.sin(_ARG), np.cos(_ARG)]])
+
+
+def _response_kernel(response: ModulatorResponse,
+                     w: BasebandWaveform) -> np.ndarray:
+    """The FIR fitted to ``response`` around ``w``'s carrier by least
+    squares: its taps act on w's envelope, centred on the middle one.  The
+    normal equations are solved here, in real arithmetic: run by the import,
+    LAPACK raised a flat-path `isr_sweep`'s peak RSS by 0.5-1 MB."""
+    h = response.eval(w.center_freq + _FIT_GRID * w.sample_rate)
+    u = np.linalg.solve(_DESIGN.T @ _DESIGN,
+                        _DESIGN.T @ np.concatenate([h.real, h.imag]))
+    return u[:RESPONSE_TAPS] + 1j * u[RESPONSE_TAPS:]
+
+
 def _fir(x: np.ndarray, k: np.ndarray, start: int, n: int) -> np.ndarray:
     """y[i] = sum_t k[t] * x[start + i - t] for i < n, x zero outside its
-    span, for a real kernel of at most INTERP_TAPS + 1 taps.
+    span, for a real or complex kernel of odd length.
 
-    Output block b (B = INTERP_TAPS samples) is input rows b and b + 1 of
+    Output block b (B = k.size - 1 samples) is input rows b and b + 1 of
     the zero-padded x, cut into B-sample rows, times the two halves of the
     (2B, B) matrix of shifted kernels; real and imaginary parts run apart
-    as real matrix products, FIR_CHUNK blocks at a time.
+    as real matrix products, FIR_CHUNK blocks at a time; a complex
+    kernel's real and imaginary matrices sit side by side.
     """
-    b = INTERP_TAPS
+    b = k.size - 1
     t = np.arange(b) + b - np.arange(2 * b)[:, None]
-    mat = np.where((t >= 0) & (t < k.size), k[np.clip(t, 0, k.size - 1)], 0.0)
+    mat = np.where((t >= 0) & (t < k.size), k[np.clip(t, 0, k.size - 1)], 0)
+    if np.iscomplexobj(k):
+        mat = np.concatenate([mat.real, mat.imag], axis=1)
     n_blocks = -(-n // b)
     rows = np.empty((2, (min(FIR_CHUNK, n_blocks) + 1) * b))
     y = np.empty(n, dtype=np.complex128)
@@ -144,14 +161,18 @@ def _fir(x: np.ndarray, k: np.ndarray, start: int, n: int) -> np.ndarray:
         blocks = chunk.reshape(2, m + 1, b)
         out = blocks[:, :-1] @ mat[:b]
         out += blocks[:, 1:] @ mat[b:]
+        if mat.shape[1] > b:  # (Re x + j Im x) * (Re k + j Im k)
+            out[0, :, :b] -= out[1, :, b:]
+            out[1, :, :b] += out[0, :, b:]
         seg = y[b0 * b:(b0 + m) * b]
-        seg.real = out[0].reshape(-1)[:seg.size]
-        seg.imag = out[1].reshape(-1)[:seg.size]
+        seg.real = out[0, :, :b].reshape(-1)[:seg.size]
+        seg.imag = out[1, :, :b].reshape(-1)[:seg.size]
     return y
 
 
 def fractional_delay(w: BasebandWaveform, tau: float,
-                     snap: float = INTERP_SNAP) -> BasebandWaveform:
+                     snap: float = INTERP_SNAP,
+                     kernel: np.ndarray | None = None) -> BasebandWaveform:
     """Delay the envelope by tau seconds (envelope shift only).
 
     Integer sample shifts move data exactly; the fractional remainder goes
@@ -159,7 +180,9 @@ def fractional_delay(w: BasebandWaveform, tau: float,
     matrix product (``_fir``).  Samples shifted in from outside the record
     are zero and flagged invalid.  ``snap`` is the threshold below which a
     fractional part is realized as an integer shift; continuous-search
-    callers set it to 0.
+    callers set it to 0.  ``kernel``, an odd-length FIR centred on its
+    middle tap, filters the envelope in the same product, convolved with
+    the interpolator, and flags half its length more at each end.
     """
     if abs(tau) >= w.duration:
         raise DelayTooLarge(
@@ -169,21 +192,25 @@ def fractional_delay(w: BasebandWaveform, tau: float,
     n_int = int(np.floor(total))
     frac = total - n_int
     x = w.samples
+    margin = 0 if kernel is None else kernel.size // 2
     if frac < max(snap, 1e-12) or frac > 1 - max(snap, 1e-12):
-        # pure integer shift (fold any full-sample remainder into n_int)
+        # integer shift (fold any full-sample remainder into n_int)
         n_int += int(round(frac))
+    else:
+        interp = _interp_kernel(frac)
+        kernel = interp if kernel is None else np.convolve(kernel, interp)
+        margin += INTERP_TAPS
+    if kernel is None:
         y = np.empty_like(x)  # y[i] = x[i - n_int]
         lo, hi = max(n_int, 0), min(x.size, x.size + n_int)
         y[:lo] = 0
         y[hi:] = 0
         y[lo:hi] = x[lo - n_int:hi - n_int]
-        kernel_margin = 0
     else:
-        # the kernel delays by INTERP_TAPS // 2 + frac
-        y = _fir(x, _interp_kernel(frac), INTERP_TAPS // 2 - n_int, x.size)
-        kernel_margin = INTERP_TAPS
-    head = w.invalid_head + max(n_int, 0) + kernel_margin
-    tail = w.invalid_tail + max(-n_int, 0) + kernel_margin
+        # the kernel delays by half its length (plus frac, interpolating)
+        y = _fir(x, kernel, kernel.size // 2 - n_int, x.size)
+    head = w.invalid_head + max(n_int, 0) + margin
+    tail = w.invalid_tail + max(-n_int, 0) + margin
     return w.with_samples(y, invalid_head=head, invalid_tail=tail)
 
 
@@ -216,38 +243,12 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _apply_response(w: BasebandWaveform,
-                    response: ModulatorResponse) -> BasebandWaveform:
-    """``w`` through the response, filtered at the 5-smooth length m >= n
-    with zero padding, so the filter wraps around m, not n, samples.
-
-    One m-sample buffer holds the record, its spectrum and the output,
-    whose first n samples are returned as a view.  The buffer is
-    transformed before the frequency grid exists; built first, the grid
-    and H raised the benchmark's `multiband` peak RSS by about 3 MB.  H is
-    evaluated and applied RESPONSE_CHUNK bins at a time, so neither H nor
-    the temporaries of its evaluation are record-sized.
-    """
-    n = len(w)
-    buf = np.zeros(_fast_length(n), dtype=np.complex128)
-    buf[:n] = w.samples
-    np.fft.fft(buf, out=buf)
-    freqs = np.fft.fftfreq(buf.size, d=1.0 / w.sample_rate)
-    freqs += w.center_freq
-    for lo in range(0, buf.size, RESPONSE_CHUNK):
-        buf[lo:lo + RESPONSE_CHUNK] *= response.eval(
-            freqs[lo:lo + RESPONSE_CHUNK])
-    del freqs
-    np.fft.ifft(buf, out=buf)
-    return w.with_samples(buf[:n])
-
-
 def _image(w: BasebandWaveform, p: PathModel) -> BasebandWaveform:
     """Noise-free image of ``w`` through one path: gain * delayed(response(w)).
 
-    The response filters the source before the delay line, whose new
-    array frees the padded buffer.  Both are linear and time-invariant, so
-    the order moves only the record edges.
+    A Butterworth response runs as its fitted FIR (``_response_kernel``),
+    with the gain and carrier phase folded into the taps, in the delay
+    line's one product: no sample depends on the record's length.
     """
     if p.delay >= w.duration:
         raise DelayTooLarge(
@@ -255,15 +256,14 @@ def _image(w: BasebandWaveform, p: PathModel) -> BasebandWaveform:
         )
     if p.gain == 0:
         return w.with_samples(np.zeros_like(w.samples))
-    if p.response.kind == "flat":
-        out = fractional_delay(w, p.delay)
-    else:
-        # no name holds the padded buffer: it dies as the delay line returns
-        out = fractional_delay(_apply_response(w, p.response), p.delay)
-    carrier_phase = np.exp(-2j * np.pi * w.center_freq * p.delay)
+    rotation = p.gain * np.exp(-2j * np.pi * w.center_freq * p.delay)
+    if p.response.kind != "flat":
+        return fractional_delay(
+            w, p.delay, kernel=_response_kernel(p.response, w) * rotation)
+    out = fractional_delay(w, p.delay)
     # the gain forms a new array: applied in place, it read a higher peak
     # RSS on flat paths (heap layout), though it allocates one array less
-    return out.with_samples(out.samples * (p.gain * carrier_phase))
+    return out.with_samples(out.samples * rotation)
 
 
 def _noise(p: PathModel, w: BasebandWaveform,
@@ -346,7 +346,7 @@ def path_images(soi: BasebandWaveform, interference: BasebandWaveform,
     drawn from ``path_rngs``."""
     check_aligned(soi, interference)
     rng11, rng12, _, rng22 = path_rngs(scenario)
-    # the SOI image last: it is not live beside a response's FFT buffers
+    # the SOI image last, the order `multiband`'s peak RSS was measured at
     y12 = _image(interference, scenario.a12)
     y22 = _image(interference, scenario.a22)
     return PathImages(
@@ -399,7 +399,9 @@ __all__ = [
     "ModulatorResponse",
     "PathImages",
     "PathModel",
+    "RESPONSE_BAND",
     "RESPONSE_KINDS",
+    "RESPONSE_TAPS",
     "apply_path",
     "fractional_delay",
     "gain_from_db",

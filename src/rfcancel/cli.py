@@ -60,20 +60,16 @@ def main(argv=None) -> int:
         # made before any work, so a path that cannot hold it fails at once
         os.makedirs(out_dir, exist_ok=True)
         if args.command == "run":
-            report = runner.run(cfg, out_dir)
-            print(report.to_json())
+            print(runner.run(cfg, out_dir).to_json())
         elif args.command == "sweep-isr":
-            rows = runner.sweep_isr(cfg, cfg.sweep.isr_db, out_dir)
-            _print_rows(rows)
+            _print_rows(runner.sweep_isr(cfg, cfg.sweep.isr_db, out_dir))
         elif args.command == "sweep-freq":
-            rows = runner.sweep_frequency(cfg, cfg.sweep.carriers_hz, out_dir)
-            _print_rows(rows)
+            _print_rows(runner.sweep_frequency(cfg, cfg.sweep.carriers_hz,
+                                               out_dir))
         elif args.command == "sweep-format":
-            rows = runner.sweep_format(cfg, cfg.sweep.formats, out_dir)
-            _print_rows(rows)
+            _print_rows(runner.sweep_format(cfg, cfg.sweep.formats, out_dir))
         elif args.command == "compare-bss":
-            rows = runner.compare_separators(cfg, out_dir)
-            _print_rows(rows)
+            _print_rows(runner.compare_separators(cfg, out_dir))
     except ConfigError as exc:
         for item in exc.fields:
             print(f"invalid: {item}", file=sys.stderr)

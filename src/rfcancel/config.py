@@ -23,8 +23,8 @@ import yaml
 
 from .canceller import IcaConfig
 from .channel import (
-    INTERP_TAPS, RESPONSE_KINDS, MixingScenario, ModulatorResponse, PathModel,
-    gain_from_db,
+    INTERP_TAPS, RESPONSE_BAND, RESPONSE_KINDS, RESPONSE_TAPS, MixingScenario,
+    ModulatorResponse, PathModel, gain_from_db,
 )
 from .errors import ConfigError
 from .metrics import MIN_SEG_LEN
@@ -346,17 +346,34 @@ def _cross_checks(cfg: ScenarioConfig) -> list[str]:
     # a config that lists carriers probes them: a Welch segment must remain
     # for the probe's depth after the a12/a22 delays, the tap delay (the
     # max_lag_s search, its sub-sample refinement and the taps' delay
-    # error) and an INTERP_TAPS margin at each end from each of the
-    # reference's two interpolators
+    # error), and at each end an INTERP_TAPS margin from each of the
+    # reference's two interpolators and half a Butterworth path's FIR
     reach = (max(chan.a12.delay_s, chan.a22.delay_s) + cfg.canceller.max_lag_s
              + abs(cfg.canceller.taps_error.delay_s)) * sim.sample_rate_hz
-    need = reach + 2 + 4 * INTERP_TAPS + MIN_SEG_LEN
+    need = reach + 2 + 4 * INTERP_TAPS + RESPONSE_TAPS - 1 + MIN_SEG_LEN
     if cfg.sweep.carriers_hz and cfg.sweep.probe_samples < need:
         need = math.ceil(need) if math.isfinite(need) else need
         bad.append(f"sweep.probe_samples: must be >= {need} to leave a "
                    f"{MIN_SEG_LEN}-sample Welch segment after the paths' "
-                   "delays, the tap delay and the interpolator margins, got "
+                   "delays, the tap delay and the filter margins, got "
                    f"{cfg.sweep.probe_samples}")
+    # a Butterworth path's FIR is fitted over |f| <= RESPONSE_BAND * fs: what
+    # passes the path must lie inside (a field named above is not named again)
+    fit = RESPONSE_BAND * sim.sample_rate_hz
+    for key, names, edge in (
+            ("soi.symbol_rate_hz", ("a11",),
+             (1 + soi.rolloff) * soi.symbol_rate_hz / 2),
+            ("interference.deviation_pp_hz", ("a12", "a22"),
+             offset + intf.deviation_pp_hz / 2 + intf.mod_noise_bw_hz),
+            ("sweep.probe_offset_hz", ("a12", "a22"),
+             abs(probe) + PROBE_HALF_BAND_HZ)):
+        fitted = [n for n in names
+                  if getattr(chan.paths, n).response.kind != "flat"]
+        if fitted and edge > fit and not any(b.startswith(key) for b in bad):
+            bad.append(f"{key}: the band reaches {edge:g} Hz from the SOI "
+                       f"carrier, past the +-{fit:g} Hz ({RESPONSE_BAND:g} * "
+                       "sample_rate_hz) that the Butterworth response of "
+                       f"channel.paths.{fitted[0]} is fitted over")
     for name in ("a11", "a12", "a22"):
         response = getattr(chan.paths, name).response
         if response.kind == "butterworth_lowpass":

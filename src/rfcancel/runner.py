@@ -275,20 +275,15 @@ def run(cfg: ScenarioConfig, out_dir: str | os.PathLike | None = None) -> RunRep
     src, scale, r_l, r_h = _configured_record(cfg)
     # the images already hold the interference at ``scale``
     m = _measure(cfg, cfg.canceller.mode, src, 1.0, r_l, r_h)
-    taps_dict = None
-    if m.taps is not None:
-        taps_dict = {
-            "delay_s": m.taps.delay,
-            "gain_re": m.taps.gain.real,
-            "gain_im": m.taps.gain.imag,
-            "residual_power_db": m.taps.residual_power_db,
-        }
     report = RunReport(
         mode=cfg.canceller.mode,
         evm_pct=m.evm.evm_rms_pct,
         depth_db=m.depth_db,
         isr_db_measured=src.base_ratio_db + 20 * math.log10(scale),
-        taps=taps_dict,
+        taps=None if m.taps is None else {
+            "delay_s": m.taps.delay, "gain_re": m.taps.gain.real,
+            "gain_im": m.taps.gain.imag,
+            "residual_power_db": m.taps.residual_power_db},
         demix=m.demix,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
         seed=cfg.sim.seed,

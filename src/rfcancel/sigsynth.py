@@ -238,7 +238,11 @@ def generate_fm_interference(spec: FmNoiseSpec, n_samples: int,
     span = np.max(f_inst) - np.min(f_inst)
     f_inst *= spec.deviation_pp / span
     phase = 2 * np.pi * np.cumsum(f_inst) / sample_rate
-    samples = amp * np.exp(1j * phase)
+    samples = np.empty(n_samples, dtype=np.complex128)
+    np.cos(phase, out=samples.real)
+    np.sin(phase, out=samples.imag)
+    if amp != 1:
+        samples *= amp
     return BasebandWaveform(samples, sample_rate, center_freq)
 
 

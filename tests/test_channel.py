@@ -15,7 +15,7 @@ from rfcancel.channel import (
     MixingScenario,
     ModulatorResponse,
     PathModel,
-    RESPONSE_CHUNK,
+    RESPONSE_TAPS,
     apply_path,
     fractional_delay,
     gain_from_db,
@@ -246,47 +246,77 @@ class TestFastLength:
             assert m >= n and five_smooth(m)
             assert not any(five_smooth(k) for k in range(n, m))
 
-    def test_response_transforms_are_five_smooth(self, monkeypatch):
-        """Every transform of the path images on a record whose length has
-        the prime factor 257 runs at a 5-smooth length."""
-        cfg = load_config(CONFIG_DIR / "protocols" / "p2400mhz_qam16_5mbd.yaml")
-        n = (cfg.sim.n_symbols + cfg.soi.span_symbols) * cfg.sps
-        assert n % 257 == 0
-        fc = cfg.soi.carrier_hz
-        soi, intf = white_wave(n, center_freq=fc), fm_wave(n, center_freq=fc)
-        sizes = []
-        for name in ("fft", "ifft"):
-            def spy(a, *args, _f=getattr(np.fft, name), **kw):
-                sizes.append(np.shape(a)[-1])
-                return _f(a, *args, **kw)
-            monkeypatch.setattr(np.fft, name, spy)
-        path_images(soi, intf, cfg.channel.to_scenario(0))
-        assert len(sizes) == 4 and all(five_smooth(m) for m in sizes)
 
-    def test_padded_response_matches_circular_form(self):
-        """Filtering at the padded length moves only the record edges: off
-        them, the image is the length-n circular filter within 1e-4 of the
-        peak."""
-        n = 164_480
-        resp = ModulatorResponse("butterworth_lowpass", f3db=9e9, order=4)
-        x = white_wave(n, seed=4, center_freq=2.4e9)
-        got = apply_path(x, PathModel(response=resp)).samples
-        h = resp.eval(np.fft.fftfreq(n, d=1 / FS) + 2.4e9)
-        want = np.fft.ifft(np.fft.fft(x.samples) * h)
-        err = np.abs(got - want)[200:n - 200]
-        assert err.max() <= 1e-4 * np.abs(want).max()
+BUTTERWORTHS = [ModulatorResponse("butterworth_lowpass", f3db, 4)
+                for f3db in (9e9, 10.5e9)]
 
-    def test_chunked_response_is_the_full_grid_form(self):
-        """Evaluating H in chunks, the last one partial, gives the bits of
-        one evaluation on the whole padded grid."""
-        n, m = 164_480, 165_888
-        resp = ModulatorResponse("butterworth_lowpass", f3db=9e9, order=4)
-        x = white_wave(n, seed=5, center_freq=2.4e9)
-        spectrum = np.fft.fft(np.concatenate([x.samples, np.zeros(m - n)]))
-        spectrum *= resp.eval(np.fft.fftfreq(m, d=1 / FS) + 2.4e9)
-        want = np.fft.ifft(spectrum)[:n]
-        got = apply_path(x, PathModel(response=resp)).samples
-        assert m % RESPONSE_CHUNK and np.array_equal(got, want)
+
+class TestResponseFir:
+    """A Butterworth path runs its response as the fitted RESPONSE_TAPS-tap
+    FIR in the delay line's product."""
+
+    @pytest.mark.parametrize("carrier", [0.1e9, 0.87e9, 2.4e9, 5.51e9, 6e9])
+    @pytest.mark.parametrize("response", BUTTERWORTHS,
+                             ids=["9GHz", "10.5GHz"])
+    def test_tones_match_the_response(self, response, carrier):
+        """Tones inside +-50 MHz leave a path as
+        gain * H(fc + f) * exp(-j2pi(fc + f)tau) within -80 dB on the
+        samples the path leaves valid, at whole and fractional delays."""
+        gain = 0.8 * np.exp(0.7j)
+        worst = 0.0
+        for f in np.linspace(-50e6, 50e6, 11):
+            w = tone_wave(f, n=4096, center_freq=carrier)
+            for delay in (0.0, 25e-9, 12.37 / FS):
+                path = PathModel(gain=gain, delay=delay, response=response)
+                out = apply_path(w, path)
+                want = (gain * response.eval(carrier + f)[0]
+                        * np.exp(-2j * np.pi * (carrier + f) * delay))
+                valid = slice(out.invalid_head, len(w) - out.invalid_tail)
+                err = np.abs(out.samples[valid] - want * w.samples[valid])
+                worst = max(worst, err.max() / abs(want))
+        assert 20 * np.log10(worst) <= -80
+
+    @pytest.mark.parametrize("m", [4099, 65536, 100003])
+    @pytest.mark.parametrize("delay", [0.0, 25e-9])
+    def test_record_length_leaves_the_bits(self, delay, m):
+        """The image of a record's first m samples is the full image's
+        first m - RESPONSE_TAPS // 2 samples, bit for bit."""
+        path = PathModel(gain=0.9 * np.exp(0.3j), delay=delay,
+                         response=BUTTERWORTHS[0])
+        w = white_wave(208_000, seed=6, center_freq=0.87e9)
+        head = BasebandWaveform(w.samples[:m], FS, w.center_freq)
+        keep = m - RESPONSE_TAPS // 2
+        assert np.array_equal(apply_path(head, path).samples[:keep],
+                              apply_path(w, path).samples[:keep])
+
+    @pytest.mark.parametrize("delay", [0.0, 25e-9, 12.37 / FS])
+    def test_margins_grow_by_the_kernel(self, delay):
+        """A Butterworth path flags RESPONSE_TAPS // 2 samples more at each
+        end than a flat path of the same delay."""
+        w = white_wave(4096, center_freq=2.4e9)
+        flat = apply_path(w, PathModel(delay=delay))
+        filt = apply_path(w, PathModel(delay=delay, response=BUTTERWORTHS[1]))
+        margin = RESPONSE_TAPS // 2
+        assert (filt.invalid_head, filt.invalid_tail) == (
+            flat.invalid_head + margin, flat.invalid_tail + margin)
+
+    @pytest.mark.parametrize("n, delay", [(4099, 5.0), (4099, -3.3),
+                                          (63, 2.75), (4096, 12.37)])
+    def test_kernel_matches_convolve_form(self, n, delay):
+        """A complex kernel, alone or convolved with the interpolator, gives
+        the full convolution's numbers."""
+        w = white_wave(n, seed=8)
+        kernel = [1, 1j] @ np.random.default_rng(2).standard_normal((2, 9))
+        n_int = int(np.floor(delay))
+        full = np.convolve(w.samples, kernel)
+        if delay != n_int:
+            full = np.convolve(full, _interp_kernel(delay - n_int))
+        shift = n_int - (full.size - n) // 2
+        want = np.zeros_like(w.samples)
+        lo, hi = max(shift, 0), min(n, full.size + shift)
+        want[lo:hi] = full[lo - shift: hi - shift]
+        got = fractional_delay(w, delay / FS, kernel=kernel).samples
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(w.samples))
 
 
 class TestApplyPath:

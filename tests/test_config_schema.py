@@ -21,8 +21,9 @@ SHIPPED = {str(p.relative_to(CONFIG_DIR)): yaml.safe_load(p.read_text())
 DEFAULT = SHIPPED["default.yaml"]
 # the shortest sweep-freq probe on spectral_response.yaml: 5 samples of
 # a12 delay and 20 of max_lag_s, 2 of tap refinement, 4 * 64 of
-# interpolator margins and a 3-sample Welch segment
-LEAST_PROBE = 286
+# interpolator margins, 2 * 4 of the Butterworth FIR's margins and a
+# 3-sample Welch segment
+LEAST_PROBE = 294
 
 
 def mutated(tree, keys, value):
@@ -224,12 +225,16 @@ class TestRules:
         assert f"sweep.{key}" in capsys.readouterr().err
 
     def test_sweep_section_bounds_inclusive(self):
+        """The probe band may reach fs/2 through flat paths and 0.3 fs, the
+        fitted FIR's band, through Butterworth paths."""
         tree = SHIPPED["spectral_response.yaml"]
         rate = tree["sim"]["sample_rate_hz"]
         for key, value in (("probe_samples", LEAST_PROBE),
                            ("train_samples", RECORD_BUDGET),
-                           ("probe_offset_hz", -(rate / 2 - 5e6))):
+                           ("probe_offset_hz", -(0.3 * rate - 5e6))):
             assert problems(tree, ("sweep", key), value) == []
+        assert problems(SHIPPED["spectral_response_flat.yaml"],
+                        ("sweep", "probe_offset_hz"), -(rate / 2 - 5e6)) == []
 
     @pytest.mark.parametrize("value", [16, 134, 135, LEAST_PROBE - 1])
     def test_probe_leaves_a_welch_segment(self, value, tmp_path, capsys):
@@ -259,6 +264,42 @@ class TestRules:
     def test_probe_rule_only_with_carriers(self):
         """No carriers, no probe: a run's config keeps its sweep defaults."""
         assert problems(DEFAULT, ("sweep", "probe_samples"), 16) == []
+
+    @pytest.mark.parametrize("past, edge, field", [
+        ({("interference", "mod_noise_bw_hz"): 2.6e7},
+         {("interference", "mod_noise_bw_hz"): 2.5e7},
+         "interference.deviation_pp_hz"),
+        ({("sweep", "probe_offset_hz"): -5.6e7},
+         {("sweep", "probe_offset_hz"): -5.5e7}, "sweep.probe_offset_hz"),
+        ({("soi", "rolloff"): 0.25}, {("soi", "rolloff"): 0.2},
+         "soi.symbol_rate_hz"),
+    ], ids=["interference", "probe", "soi"])
+    def test_butterworth_fit_band_covers_the_signal(self, past, edge, field,
+                                                    tmp_path, capsys):
+        """A band reaching past +-0.3 fs through a Butterworth path, whose
+        fitted FIR holds only inside, is named at exit 1.  A band ending on
+        +-0.3 fs, or passing flat paths only, runs."""
+        tree = SHIPPED["spectral_response.yaml"]
+        # +-(35 + 25) MHz of interference, +-(50 + 10) MHz of 2-sps SOI
+        for keys, value in {
+                ("interference", "deviation_pp_hz"): 7e7,
+                ("soi", "symbol_rate_hz"): 1e8,
+                ("channel", "paths", "a11", "response"):
+                    tree["channel"]["paths"]["a12"]["response"]}.items():
+            tree = mutated(tree, keys, value)
+        for keys, value in edge.items():
+            assert validate_tree(mutated(tree, keys, value)) == []
+        for keys, value in past.items():
+            tree = mutated(tree, keys, value)
+        assert [p.split(":")[0] for p in validate_tree(tree)] == [field]
+        path = tmp_path / "fit.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        assert main(["validate-config", "--config", str(path)]) == 1
+        assert f"invalid: {field}:" in capsys.readouterr().err
+        for name in ("a11", "a12", "a22"):
+            tree = mutated(tree, ("channel", "paths", name, "response"),
+                           {"kind": "flat"})
+        assert validate_tree(tree) == []
 
     def test_sixteenfold_record_within_budget(self):
         tree = SHIPPED["evm_vs_isr.yaml"]

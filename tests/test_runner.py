@@ -269,11 +269,10 @@ class TestRun:
     @pytest.mark.parametrize("name", ["p870mhz_qpsk_1mbd.yaml",
                                       "p2400mhz_qam16_5mbd.yaml"])
     def test_synthesis_peak_memory(self, name):
-        """Butterworth paths filter each source in one padded buffer that
-        the delay line frees, and evaluate the response in chunks:
-        synthesis peaks at 7 record copies at most (tracemalloc peak of a
-        second call). A record-length response read 7.64, and padding
-        after the delay line in a second buffer 8.64."""
+        """A Butterworth path runs its fitted FIR in the delay line's one
+        product, which allocates only the image: synthesis peaks at 7
+        record copies at most (tracemalloc peak of a second call; 6.05 and
+        6.08 read). An FFT response with a record-length H read 7.64."""
         cfg = load_config(CONFIG_DIR / "protocols" / name)
         n = (cfg.sim.n_symbols + cfg.soi.span_symbols) * cfg.sps
         runner.synthesize_sources(cfg)
