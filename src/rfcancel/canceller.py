@@ -12,12 +12,12 @@ fixed-point ICA that has to search the full 2x2 de-mixing space.
 from __future__ import annotations
 
 import logging
-import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+# fractional_delay is not called here, but the bench's tracer wraps it here
 from .channel import _fast_length, fractional_delay, true_time_delay
 from .errors import (
     AmbiguousLabeling,
@@ -33,10 +33,6 @@ from .waveform import (
 
 # the correlation below which resolve_permutation finds no interference
 COHERENCE_THRESHOLD = 0.2
-# Brent's bounded search: the golden-section fraction and its relative
-# tolerance floor, the constants scipy.optimize uses
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
 
 _log = logging.getLogger(__name__)
 
@@ -143,102 +139,49 @@ def estimate_delay(r_l: BasebandWaveform, r_h: BasebandWaveform,
     return lag / fs
 
 
-def _minimize_bounded(f, lo: float, hi: float, xatol: float) -> float:
-    """The x in [lo, hi] that minimizes f, by Brent's bounded search
-    (Brent, "Algorithms for Minimization without Derivatives", 1973,
-    ch. 5): parabolic steps through the best three points, golden-section
-    steps when a parabola is not trusted, until x is known within xatol or
-    f has been called 500 times.
-
-    The arithmetic is that of scipy.optimize.minimize_scalar(method=
-    "bounded"), step for step, so both try the same points and return the
-    same x, bit for bit.
-    """
-    a, b = lo, hi
-    # x is the best point so far, w the second best, v the previous w
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    num = 1
-    d = e = 0.0
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(x - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                golden = False
-                d = p / q
-                u = x + d
-                if u - a < tol2 or b - u < tol2:
-                    d = tol1 if xm >= x else -tol1
-        if golden:
-            e = a - x if x >= xm else b - x
-            d = _GOLDEN * e
-        step = max(abs(d), tol1)
-        u = x + step if d >= 0 else x - step
-        fu = f(u)
-        num += 1
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return x
-
-
 def refine_delay_by_residual(r_l: BasebandWaveform, r_h: BasebandWaveform,
                              coarse_delay: float) -> float:
-    """Polish a delay estimate within +-1 sample by maximizing the normalized
-    correlation of r_L against the continuously delayed reference.
+    """Polish a delay estimate within +-1 sample by maximizing the
+    magnitude of the correlation of r_L against r_H at a continuous lag.
 
     Frequency-sweep scenarios need delay matching far below the 0.05-sample
-    accuracy of the parabolic stage (picoseconds at GHz carriers), so this
-    runs a bounded scalar search on the interpolated correlation magnitude.
-    The correlation reads only samples that both records flag valid, 80
-    samples clear of the delayed reference's edges; with no such sample the
-    coarse delay stands.
+    accuracy of the parabolic stage (picoseconds at GHz carriers).  At a lag
+    of tau samples the correlation is C(tau) = sum_k S_k exp(j w_k tau), for
+    S = FFT(x) * conj(FFT(y)) with x r_L on the slice below and y r_H's
+    valid samples, each zero elsewhere.  Newton steps on |C|^2 go from the
+    coarse delay, within +-1 sample of it, until a step falls below 1e-9
+    samples, |C|^2 stops curving down, or 20 steps have run.  The slice
+    holds only samples valid in both records, 80 samples clear of the
+    delayed reference's edges; with none the coarse delay stands.
     """
     check_aligned(r_l, r_h)
     fs = r_l.sample_rate
-    # a slice keeps each probe cheap; accuracy is set by xtol, not length
-    n = min(len(r_h), 1 << 16)
+    n = min(len(r_h), 1 << 16)  # a prefix keeps the transforms short
     ref, tgt = _prefix(r_h, n), _prefix(r_l, n)
     head = max(ref.invalid_head, int(abs(coarse_delay * fs)) + 80)
     sl = slice(max(head + 80, tgt.invalid_head),
                n - max(ref.invalid_tail + 80, tgt.invalid_tail))
     if sl.start >= sl.stop:
         return float(coarse_delay)
-    a = tgt.samples[sl]
-    norm_a = np.linalg.norm(a)
-
-    def neg_corr(tau: float) -> float:
-        b = fractional_delay(ref, tau, snap=0.0).samples[sl]
-        denom = norm_a * np.linalg.norm(b)
-        if denom == 0:
-            return 0.0
-        return -abs(np.vdot(b, a)) / denom
-
-    half = 1.0 / fs
-    return float(_minimize_bounded(neg_corr, coarse_delay - half,
-                                   coarse_delay + half, 1e-7 / fs))
+    x, y = np.zeros((2, n), dtype=np.complex128)
+    x[sl] = tgt.samples[sl]
+    y[ref.invalid_head:n - ref.invalid_tail] = ref.valid
+    s = np.fft.fft(x) * np.conj(np.fft.fft(y))
+    w = 2 * np.pi * np.fft.fftfreq(n)
+    d = 0.0  # the offset from the coarse delay, in samples
+    for _ in range(20):
+        e = s * np.exp(1j * w * (coarse_delay * fs + d))
+        c, c1, c2 = e.sum(), (w * e).sum(), (w * w * e).sum()
+        # half the first and the second derivative of |C|^2
+        slope = -(c1 * np.conj(c)).imag
+        curve = abs(c1) ** 2 - (c2 * np.conj(c)).real
+        if not curve < 0:
+            break
+        step = min(max(d - slope / curve, -1.0), 1.0) - d
+        d += step
+        if abs(step) < 1e-9:
+            break
+    return float(coarse_delay + d / fs)
 
 
 def estimate_gain(r_l: BasebandWaveform, ref: BasebandWaveform) -> complex:

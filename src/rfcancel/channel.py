@@ -171,18 +171,17 @@ def _fir(x: np.ndarray, k: np.ndarray, start: int, n: int) -> np.ndarray:
 
 
 def fractional_delay(w: BasebandWaveform, tau: float,
-                     snap: float = INTERP_SNAP,
                      kernel: np.ndarray | None = None) -> BasebandWaveform:
     """Delay the envelope by tau seconds (envelope shift only).
 
     Integer sample shifts move data exactly; the fractional remainder goes
     through a 64-tap Kaiser-windowed sinc interpolator, run as a blocked
     matrix product (``_fir``).  Samples shifted in from outside the record
-    are zero and flagged invalid.  ``snap`` is the threshold below which a
-    fractional part is realized as an integer shift; continuous-search
-    callers set it to 0.  ``kernel``, an odd-length FIR centred on its
-    middle tap, filters the envelope in the same product, convolved with
-    the interpolator, and flags half its length more at each end.
+    are zero and flagged invalid.  A fractional part within INTERP_SNAP of
+    a whole sample is realized as an integer shift.  ``kernel``, an
+    odd-length FIR centred on its middle tap, filters the envelope in the
+    same product, convolved with the interpolator, and flags half its
+    length more at each end.
     """
     if abs(tau) >= w.duration:
         raise DelayTooLarge(
@@ -193,7 +192,7 @@ def fractional_delay(w: BasebandWaveform, tau: float,
     frac = total - n_int
     x = w.samples
     margin = 0 if kernel is None else kernel.size // 2
-    if frac < max(snap, 1e-12) or frac > 1 - max(snap, 1e-12):
+    if frac < INTERP_SNAP or frac > 1 - INTERP_SNAP:
         # integer shift (fold any full-sample remainder into n_int)
         n_int += int(round(frac))
     else:

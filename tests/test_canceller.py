@@ -1,13 +1,14 @@
 """Tests for reference-aided cancellation and blind source separation."""
 
 import logging
-import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from scipy import optimize
+from hypothesis import given, settings, strategies as st
 from scipy import signal as sig
 
 from rfcancel import canceller as canc
@@ -26,6 +27,8 @@ from rfcancel.sigsynth import generate_soi, random_symbols
 from rfcancel.waveform import BasebandWaveform
 
 from conftest import FS, five_smooth, fm_wave, tone_wave, white_wave
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestEstimateDelay:
@@ -389,103 +392,79 @@ class TestTrain:
         assert len(ref) == len(r_h)
 
 
-def _tried(minimize, f, lo, hi, xatol):
-    """(x, every point tried) of one bounded search of f."""
-    points = []
-    x = minimize(lambda u: points.append(u) or f(u), lo, hi, xatol)
-    return x, points
+class TestRefineByResidual:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("delay", [2.3, 3.0, 3.5, 7.77, 12.25, 45.7])
+    def test_known_delay(self, delay, sign):
+        """A delay made by the channel's delay line comes back within 1e-6
+        samples; swapping the records gives the negative delay."""
+        r_h = fm_wave(1 << 16, seed=8)
+        r_l = apply_path(r_h, PathModel(gain=0.8 - 0.3j, delay=delay / FS))
+        if sign < 0:
+            r_l, r_h = r_h, r_l
+        coarse = canc.estimate_delay(r_l, r_h, max_lag=64 / FS)
+        refined = canc.refine_delay_by_residual(r_l, r_h, coarse)
+        assert abs(refined * FS - sign * delay) < 1e-6
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 4096), lag=st.floats(0.0, 60.0),
+           correlated=st.booleans(), swap=st.booleans(),
+           seed=st.integers(0, 2**32 - 2),
+           coarse=st.floats(-80.0, 80.0) | st.floats(-1e6, 1e6))
+    def test_stays_within_a_sample_of_the_coarse_delay(self, n, lag,
+                                                       correlated, swap,
+                                                       seed, coarse):
+        r_h = white_wave(n, seed=seed)
+        if correlated and lag < n:
+            r_l = apply_path(r_h, PathModel(gain=0.5j, delay=lag / FS))
+        else:
+            r_l = white_wave(n, seed=seed + 1)
+        if swap:
+            r_l, r_h = r_h, r_l
+        refined = canc.refine_delay_by_residual(r_l, r_h, coarse / FS)
+        assert np.isfinite(refined)
+        assert abs(refined * FS - coarse) <= 1 + 1e-9
 
-def _scipy_bounded(f, lo, hi, xatol):
-    return optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                                    options={"xatol": xatol}).x
+    def test_last_bits_of_r_l_leave_the_delay(self):
+        """Scaling r_L by 1 + 2.2e-16 z moves the trained delay on
+        spectral_response.yaml's training window by at most 1e-12
+        samples."""
+        cfg = load_config(ROOT / "configs" / "spectral_response.yaml")
+        _, _, r_l, r_h = runner._configured_record(cfg)
+        c = cfg.canceller
 
+        def delay(r_l):
+            return canc.train(r_l, r_h, c.training_window, c.max_lag_s,
+                              c.delay_refine)[0].delay
 
-def _assert_same_search(f, lo, hi, xatol):
-    """The in-package search tries scipy's points and returns its x, bit
-    for bit."""
-    x, points = _tried(canc._minimize_bounded, f, lo, hi, xatol)
-    want_x, want_points = _tried(_scipy_bounded, f, lo, hi, xatol)
-    assert (np.array(points, dtype=float).tobytes()
-            == np.array(want_points, dtype=float).tobytes())
-    assert np.float64(x).tobytes() == np.float64(want_x).tobytes()
-    return points
+        want = delay(r_l)
+        rng = np.random.default_rng(1)
+        for z in rng.standard_normal(5):
+            got = delay(r_l.with_samples(r_l.samples * (1 + 2.2e-16 * z)))
+            assert abs(got - want) * FS <= 1e-12
 
-
-def _objective(kind, lo, width, t, levels):
-    """A test function on [lo, lo + width]; t places its feature."""
-    c = lo + t * width
-    width = width or 1.0
-    if kind == "quadratic":
-        return lambda x: (x - c) * (x - c)
-    if kind == "cosine":
-        # three to four minima across the bounds
-        return lambda x: math.cos(7 * math.pi * (x - lo) / width + t)
-    if kind == "constant":
-        return lambda x: t
-    if kind == "step":
-        # a quantized quadratic: flat runs the parabola cannot fit
-        q = width / len(levels)
-        return lambda x: math.floor((x - c) * (x - c) / (q * q))
-    # plateaus of a few values: exact ties between the points tried
-    k = len(levels)
-    return lambda x: levels[min(max(int((x - lo) / width * k), 0), k - 1)]
-
-
-class TestMinimizeBounded:
-    @settings(max_examples=300, deadline=None)
-    @given(kind=st.sampled_from(["quadratic", "cosine", "constant", "step",
-                                 "plateaus"]),
-           lo=st.floats(-1e3, 1e3),
-           width=st.just(0.0) | st.floats(1e-6, 1e2),
-           t=st.sampled_from([0.0, 1.0]) | st.floats(-2.0, 3.0),
-           xatol=st.floats(1e-12, 1.0),
-           levels=st.lists(st.integers(0, 2), min_size=1, max_size=60))
-    @example(kind="quadratic", lo=-1.0, width=2.0, t=0.3, xatol=1e-5,
-             levels=[0])
-    @example(kind="quadratic", lo=-1.0, width=2.0, t=0.0, xatol=1e-5,
-             levels=[0])
-    @example(kind="quadratic", lo=-1.0, width=2.0, t=1.0, xatol=1e-5,
-             levels=[0])
-    @example(kind="quadratic", lo=-1.0, width=2.0, t=-0.5, xatol=1e-5,
-             levels=[0])
-    @example(kind="quadratic", lo=-1.0, width=2.0, t=1.5, xatol=1e-5,
-             levels=[0])
-    # no tolerance: the search stops at the 500-evaluation cap
-    @example(kind="quadratic", lo=-1.0, width=2.0, t=0.5, xatol=0.0,
-             levels=[0])
-    # ties of the new point with the second and the third best
-    @example(kind="plateaus", lo=-1.0, width=1.0, t=0.0, xatol=1e-3,
-             levels=[2, 0, 2, 0, 2, 1, 2, 0, 0, 0])
-    @example(kind="plateaus", lo=1.0, width=2.0, t=0.0, xatol=1e-8,
-             levels=[2, 2, 2, 2, 1, 1, 0, 2, 2])
-    def test_matches_scipy(self, kind, lo, width, t, xatol, levels):
-        _assert_same_search(_objective(kind, lo, width, t, levels), lo,
-                            lo + width, xatol)
-
-    def test_residual_refine_objective_matches_scipy(self, monkeypatch):
-        """On spectral_response_flat.yaml's training record the correlation
-        objective sees the same search as scipy's, and the refine returns
-        its x."""
-        cfg = load_config(Path(__file__).resolve().parents[1] / "configs"
-                          / "spectral_response_flat.yaml")
-        searches = []
-        minimize = canc._minimize_bounded
-
-        def spy(f, lo, hi, xatol):
-            x = minimize(f, lo, hi, xatol)
-            searches.append((f, lo, hi, xatol, x))
-            return x
-
-        monkeypatch.setattr(canc, "_minimize_bounded", spy)
-        taps = runner.train_sweep_taps(cfg)
-        (f, lo, hi, xatol, x), = searches
-        assert taps.delay == x
-        fs = cfg.sim.sample_rate_hz
-        assert (hi - lo) * fs == pytest.approx(2.0)
-        assert xatol * fs == pytest.approx(1e-7)
-        points = _assert_same_search(f, lo, hi, xatol)
-        assert len(points) < 20
+    def test_blas_thread_count_leaves_the_delay(self):
+        """Frozen-tap training on both spectral configs gives the same
+        delay bits on one BLAS thread as on two."""
+        code = ("import sys\n"
+                "from rfcancel.config import load_config\n"
+                "from rfcancel.runner import train_sweep_taps\n"
+                "for path in sys.argv[1:]:\n"
+                "    print(train_sweep_taps(load_config(path)).delay.hex())\n")
+        configs = [str(ROOT / "configs" / name) for name in
+                   ("spectral_response.yaml", "spectral_response_flat.yaml")]
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        delays = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path,
+                       OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code, *configs],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            delays.append(proc.stdout)
+        assert delays[0] == delays[1]
 
 
 class TestRefineValidSpan:

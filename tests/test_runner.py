@@ -400,7 +400,6 @@ class TestSweepIsr:
             return delay(w, tau, *args, **kwargs)
 
         monkeypatch.setattr(channel, "fractional_delay", counted)
-        monkeypatch.setattr(canc, "fractional_delay", counted)
         rows = runner.sweep_isr(cfg, [-15.0, 0.0, 15.0])
         assert all(row["error"] == "" for row in rows)
         assert len(calls) == 3 + len(rows)
