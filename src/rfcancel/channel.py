@@ -260,9 +260,8 @@ def _image(w: BasebandWaveform, p: PathModel) -> BasebandWaveform:
         return fractional_delay(
             w, p.delay, kernel=_response_kernel(p.response, w) * rotation)
     out = fractional_delay(w, p.delay)
-    # the gain forms a new array: applied in place, it read a higher peak
-    # RSS on flat paths (heap layout), though it allocates one array less
-    return out.with_samples(out.samples * rotation)
+    out.samples *= rotation
+    return out
 
 
 def _noise(p: PathModel, w: BasebandWaveform,

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import os
+import platform
 import sys
 
 import yaml
@@ -56,6 +58,7 @@ def main(argv=None) -> int:
         if args.command == "validate-config":
             print(f"{args.config}: ok")
             return 0
+        _keep_records_on_heap()
         out_dir = args.out or cfg.outputs.directory
         # made before any work, so a path that cannot hold it fails at once
         os.makedirs(out_dir, exist_ok=True)
@@ -83,6 +86,39 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+# mallopt(3) parameters, and the ceiling of glibc's dynamic mmap threshold
+# (DEFAULT_MMAP_THRESHOLD_MAX on 64-bit)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 * 2**20
+
+
+def _keep_records_on_heap() -> None:
+    """Set glibc's mmap threshold to 32 MiB and its trim threshold to 64 MiB.
+
+    Under glibc's dynamic rule, freeing an mmapped record raises the mmap
+    threshold to the record's size and the trim threshold to twice that,
+    so with records of a few MB the heap top is trimmed whenever a sweep
+    row or a band frees its records, and the next one faults the same
+    pages in again.  These values are where that rule stops on its own;
+    set from the start, records below 32 MiB stay on the heap between rows
+    and larger ones are still mmapped.  The setting holds for the whole
+    process, so the program makes it, not the library.  Elsewhere than on
+    glibc, or if ``mallopt`` cannot be loaded, the allocator is left as
+    it is.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
 
 
 def _originating_module(exc: BaseException) -> str:

@@ -1,8 +1,10 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import ast
+import ctypes
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from rfcancel import runner
+from rfcancel import cli, runner
 from rfcancel.cli import main
 
 GOOD = {
@@ -290,13 +292,19 @@ def test_commands_run_without_scipy(tmp_path):
             "'configs/spectral_response.yaml', '--out', out + '/freq'])\n"
             "         or cli.main(['run', '--config', 'configs/default.yaml', "
             "'--out', out + '/default']))")
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=300)
+    proc = _python(code, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "freq" / "sweep_freq.csv").is_file()
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter at the repository root, with
+    the package's sources first on its path."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
 
 
 def test_package_imports_no_scipy():
@@ -312,3 +320,82 @@ def test_package_imports_no_scipy():
                 continue
             assert not any(n.split(".")[0] == "scipy" for n in names), (
                 f"{path.name}:{node.lineno} imports {names}")
+
+
+GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+
+class TestAllocatorThresholds:
+    """The CLI sets glibc's mmap and trim thresholds (``cli.
+    _keep_records_on_heap``), so records freed by one sweep row or band
+    stay on the heap for the next."""
+
+    @pytest.mark.skipif(not GLIBC, reason="glibc's malloc thresholds")
+    @pytest.mark.parametrize("command, config", [
+        ("sweep-isr", "configs/evm_vs_isr.yaml"),
+        ("run", "configs/default.yaml"),
+    ])
+    def test_second_call_faults_no_record_pages(self, command, config,
+                                                tmp_path):
+        """Under glibc's dynamic thresholds the second call faulted about
+        17,000 (sweep-isr) and 4,700 (run) fresh pages, its records' worth;
+        with the CLI's thresholds a few dozen."""
+        code = ("import contextlib, io, resource, sys\n"
+                "from rfcancel import cli\n"
+                "def faults():\n"
+                "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cli.main(sys.argv[1:]) == 0\n"
+                "    before = faults()\n"
+                "    assert cli.main(sys.argv[1:]) == 0\n"
+                "    after = faults()\n"
+                "print(after - before)\n")
+        proc = _python(code, command, "--config", config,
+                       "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 1000
+
+    @pytest.mark.parametrize("command", ["run", "sweep-isr"])
+    @pytest.mark.parametrize("failure", ["not glibc", "no library",
+                                         "no symbol"])
+    def test_commands_run_without_it(self, failure, command, monkeypatch,
+                                     tmp_path):
+        loads = []
+
+        def cdll(name):
+            loads.append(name)
+            if failure == "no library":
+                raise OSError("cannot load the C library")
+            return object()     # a library without mallopt
+
+        libc = ("", "") if failure == "not glibc" else ("glibc", "2.36")
+        monkeypatch.setattr(platform, "libc_ver", lambda *args: libc)
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        path = write_cfg(tmp_path, GOOD)
+        assert main([command, "--config", path,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert loads == ([] if failure == "not glibc" else [None])
+
+    def test_validate_config_leaves_the_allocator(self, monkeypatch,
+                                                  tmp_path):
+        """validate-config, the command whose start-up the benchmark times
+        as setup_s, returns before the setting is made."""
+        def refuse():
+            raise AssertionError("the allocator setting was made")
+
+        monkeypatch.setattr(cli, "_keep_records_on_heap", refuse)
+        path = write_cfg(tmp_path, GOOD)
+        assert main(["validate-config", "--config", path]) == 0
+        with pytest.raises(AssertionError, match="setting was made"):
+            main(["run", "--config", path, "--out", str(tmp_path / "out")])
+
+    def test_imports_leave_the_allocator(self):
+        """The setting holds for the whole process: importing the package,
+        the runner or the CLI loads no C library to make it."""
+        code = ("import ctypes\n"
+                "def refuse(*args, **kwargs):\n"
+                "    raise AssertionError(f'CDLL{args}')\n"
+                "ctypes.CDLL = refuse\n"
+                "import rfcancel, rfcancel.runner, rfcancel.cli\n")
+        proc = _python(code)
+        assert proc.returncode == 0, proc.stderr
