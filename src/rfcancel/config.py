@@ -402,10 +402,34 @@ def from_tree(tree) -> ScenarioConfig:
     return cfg
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """PyYAML's safe loader, but a key repeated within one mapping is a
+    ConfigError naming its dotted path and line; PyYAML keeps the last."""
+
+    def construct_document(self, node):
+        bad, todo, seen = [], [("", node)], set()
+        for prefix, mapping in todo:
+            # an alias shares its anchor's node, which can contain itself
+            if not isinstance(mapping, yaml.MappingNode) or id(mapping) in seen:
+                continue
+            seen.add(id(mapping))
+            keys = set()
+            for key, value in mapping.value:
+                if isinstance(key, yaml.ScalarNode):
+                    if key.value in keys:
+                        bad.append(f"{prefix}{key.value}: duplicate key "
+                                   f"(line {key.start_mark.line + 1})")
+                    keys.add(key.value)
+                    todo.append((f"{prefix}{key.value}.", value))
+        if bad:
+            raise ConfigError(bad)
+        return super().construct_document(node)
+
+
 def load_config(path: str | os.PathLike) -> ScenarioConfig:
     # bytes: the YAML reader decodes them, and names the file on an error
     with open(path, "rb") as fh:
-        return from_tree(yaml.safe_load(fh))
+        return from_tree(yaml.load(fh, Loader=_UniqueKeyLoader))
 
 
 def with_seed(cfg: ScenarioConfig, seed) -> ScenarioConfig:

@@ -30,8 +30,6 @@ DEFAULT_SEG_LEN = 4096
 # the shortest Welch segment: a 2-sample Hann window is all zeros, and a
 # one-bin PSD has no bin width
 MIN_SEG_LEN = 3
-# equivalent noise bandwidth of the Hann window, in bins
-_HANN_ENBW = 1.5
 
 
 @dataclass
@@ -40,7 +38,6 @@ class PsdEstimate:
 
     freqs: np.ndarray
     psd: np.ndarray
-    resolution_bw: float
 
     def total_power(self) -> float:
         df = self.freqs[1] - self.freqs[0]
@@ -67,7 +64,6 @@ class EvmReport:
 
     evm_rms_pct: float
     per_symbol_errors: np.ndarray
-    n_symbols: int
     aligned: np.ndarray
 
 
@@ -125,7 +121,7 @@ def welch_psd(w: BasebandWaveform, seg_len: int | None = None) -> PsdEstimate:
     # density scaling: |X|^2 / (fs * sum(window^2)), averaged over segments
     psd = np.fft.fftshift(acc / (n_seg * w.sample_rate * win_power))
     freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, d=1.0 / w.sample_rate))
-    return PsdEstimate(freqs, psd, _HANN_ENBW * w.sample_rate / seg_len)
+    return PsdEstimate(freqs, psd)
 
 
 def isr_at(soi_psd: PsdEstimate, int_psd: PsdEstimate, f: float) -> float:
@@ -200,7 +196,7 @@ def evm(rx_symbols: SymbolStream, tx_symbols: SymbolStream) -> EvmReport:
     err = aligned - tx
     ref_rms = np.sqrt(np.mean(np.abs(constellation(tx_symbols.format)) ** 2))
     pct = 100.0 * np.sqrt(np.mean(np.abs(err) ** 2)) / ref_rms
-    return EvmReport(float(pct), err, rx.size, aligned)
+    return EvmReport(float(pct), err, aligned)
 
 
 def sir_against_truth(output: BasebandWaveform, target: BasebandWaveform,

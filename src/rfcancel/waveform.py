@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,27 +112,19 @@ def common_valid(*waves: BasebandWaveform) -> tuple[np.ndarray, ...]:
     return tuple(w.samples[head:stop] for w in waves)
 
 
-def _umask() -> int:
-    # the umask can only be read by setting it; the restrictive placeholder
-    # keeps files created meanwhile by other threads private
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
-
-
 def _atomic_write(path: str | os.PathLike, payload: bytes) -> None:
     """Write ``payload`` to ``path`` through a temporary file and a rename.
 
-    The file gets the mode a plain ``open`` would give it (0666 less the
-    umask), not the 0600 of the temporary file.
+    The temporary is opened with mode 0666, so the kernel applies the
+    umask as it does for any new file, and the rename keeps that mode; the
+    umask is never read, and so never set.
     """
     path = os.fspath(path)
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-rcwv-")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-rcwv-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(payload)
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

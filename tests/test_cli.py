@@ -249,6 +249,29 @@ class TestBadInputs:
         assert "invalid: canceller.mode: must be a string" in err
         assert "so quote the value" in err
 
+    @pytest.mark.parametrize("command", ["validate-config", "run"])
+    def test_repeated_key_exit_1_naming_it(self, command, tmp_path, capsys):
+        """A key repeated within one mapping is named with its line, where
+        YAML alone keeps the last: a repeated section would replace the
+        whole section, and a repeated scalar would run on the last value."""
+        proto = (ROOT / "configs" / "protocols"
+                 / "p5200mhz_qam64_10mbd.yaml").read_text()
+        assert proto.endswith("\n") and proto.count("\n") == 47
+        section = tmp_path / "section.yaml"
+        section.write_text(proto + "soi: {format: qam64}\n")
+        text = (ROOT / "configs" / "default.yaml").read_text()
+        line = "  training_window: 131072\n"
+        assert text.count(line) == 1
+        scalar = tmp_path / "scalar.yaml"
+        scalar.write_text(text.replace(line, line + "  training_window: 4096\n"))
+        for path, want in ((section, "soi: duplicate key (line 48)"),
+                           (scalar, "canceller.training_window: duplicate "
+                                    "key (line 31)")):
+            assert main([command, "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+            assert capsys.readouterr().err == f"invalid: {want}\n"
+        assert not (tmp_path / "out").exists()
+
     # finite dB values whose 10**(x/20) overflowed, with a command that
     # reaches each field
     HUGE_DB = {

@@ -112,3 +112,13 @@ class TestConstruction:
         for path in paths:
             cfg = load_config(path)
             assert cfg.sim.seed is not None
+
+    def test_repeated_keys_in_a_self_containing_mapping(self, tmp_path):
+        """An anchor's mapping may hold an alias to itself: each mapping is
+        read for repeated keys once, and every repeat is named."""
+        path = tmp_path / "alias.yaml"
+        path.write_text("a: &m {b: *m, c: 1, c: 2}\nd: 1\nd: 2\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert sorted(err.value.fields) == ["a.c: duplicate key (line 1)",
+                                            "d: duplicate key (line 3)"]

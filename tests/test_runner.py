@@ -23,7 +23,7 @@ from rfcancel import channel
 from rfcancel import metrics as met
 from rfcancel import runner
 from rfcancel.channel import apply_path, received
-from rfcancel.config import from_tree, load_config
+from rfcancel.config import CSV_KINDS, from_tree, load_config
 from rfcancel.demod import DemodConfig, valid_symbol_range
 from rfcancel.errors import (
     AmbiguousLabeling, DegenerateReference, RfCancelError,
@@ -155,16 +155,30 @@ class TestRun:
                                        runner.occupied_band(cfg)).depth_db
         assert depth == pytest.approx(rep.depth_db, abs=0.01)
 
-    def test_artifacts_follow_umask(self, cfg, tmp_path):
-        """Artifacts get 0666 less the umask, like any newly created file."""
+    def test_artifacts_follow_umask(self, tmp_path, monkeypatch):
+        """Artifacts get 0666 less the umask, like any newly created file,
+        and no write touches the process umask: it can only be read by
+        setting it, which races with files that other threads create."""
+        cfg = load_config(CONFIG_DIR / "default.yaml")
+        cfg = replace(cfg, outputs=replace(cfg.outputs, csv=CSV_KINDS))
+
+        def umask(mask):
+            raise AssertionError("the umask was set")
+
         old = os.umask(0o022)
         try:
-            runner.run(cfg, tmp_path)
+            with monkeypatch.context() as m:
+                m.setattr(os, "umask", umask)
+                runner.run(cfg, tmp_path)
         finally:
             os.umask(old)
         modes = {p.name: stat.S_IMODE(p.stat().st_mode)
                  for p in tmp_path.iterdir()}
-        assert "report.json" in modes and "r_l.rcwv" in modes
+        assert sorted(modes) == sorted(
+            ["report.json", "constellation.csv", "evm_errors.csv",
+             "psd_soi.csv", "psd_interference.csv", "psd_mixed.csv",
+             "psd_output.csv", "depth_curve.csv", "r_l.rcwv", "r_h.rcwv",
+             "output.rcwv", "int_before.rcwv", "int_after.rcwv"])
         assert modes == {name: 0o644 for name in modes}
 
     def test_report_json_fields(self, cfg, tmp_path):

@@ -1,5 +1,10 @@
 """Tests for the waveform container and its binary format."""
 
+import errno
+import os
+import re
+import resource
+import signal
 import tracemalloc
 
 import numpy as np
@@ -12,6 +17,7 @@ from rfcancel.waveform import (
     FORMAT_VERSION,
     MAGIC,
     BasebandWaveform,
+    _atomic_write,
     _write_csv,
     common_valid,
     load_waveform,
@@ -206,6 +212,32 @@ _CELLS = st.builds(lambda x, to, sign: sign * (x if to is None
                    _FLOATS, _ULPS, st.sampled_from([1.0, -1.0]))
 _INTS = st.one_of(st.integers(-2**63, 2**63 - 1),
                   st.sampled_from([0, -1, 2**63 - 1, -2**63]))
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temporary(self, tmp_path, monkeypatch):
+        """A write cut off part way (by the file-size limit here, as by a
+        full disk) raises, leaves no file at the path, and removes its
+        temporary, a hidden file named .tmp-rcwv-<16 hex digits>."""
+        removed = []
+        unlink = os.unlink
+        monkeypatch.setattr(os, "unlink",
+                            lambda p: (removed.append(p), unlink(p)))
+        limit = resource.getrlimit(resource.RLIMIT_FSIZE)
+        handler = signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (4096, limit[1]))
+        try:
+            with pytest.raises(OSError) as exc:
+                _atomic_write(tmp_path / "x.rcwv", bytes(1 << 16))
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, limit)
+            signal.signal(signal.SIGXFSZ, handler)
+        assert exc.value.errno == errno.EFBIG
+        assert list(tmp_path.iterdir()) == []
+        assert len(removed) == 1
+        assert os.path.dirname(removed[0]) == str(tmp_path)
+        assert re.fullmatch(r"\.tmp-rcwv-[0-9a-f]{16}",
+                            os.path.basename(removed[0]))
 
 
 class TestWriteCsv:
