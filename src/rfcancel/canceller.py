@@ -43,7 +43,6 @@ class CancellerTaps:
 
     delay: float
     gain: complex
-    residual_power_db: float = float("nan")
 
     def __post_init__(self):
         if not np.isfinite(self.delay):
@@ -234,14 +233,14 @@ def perturb_taps(taps: CancellerTaps, gain_error_mag: float = 0.0,
     gain = taps.gain * (1 + gain_error_mag) * np.exp(
         1j * np.deg2rad(gain_error_phase_deg)
     )
-    return CancellerTaps(taps.delay + delay_error, gain, taps.residual_power_db)
+    return CancellerTaps(taps.delay + delay_error, gain)
 
 
 def _prefix(w: BasebandWaveform, n: int, margin: int = 0) -> BasebandWaveform:
     """The first ``n`` samples of ``w`` and the part of its invalid tail
     that they reach; ``w``'s last ``margin`` invalid samples, a delay's own
     edge, stay invalid at the end of the prefix as well."""
-    tail = max(w.invalid_tail - margin - (len(w) - n), 0) + margin
+    tail = max(w.invalid_tail - margin - max(len(w) - n, 0), 0) + margin
     return w.with_samples(w.samples[:n], invalid_tail=tail)
 
 
@@ -252,11 +251,10 @@ def train(r_l: BasebandWaveform, r_h: BasebandWaveform, window: int,
     them over the whole record.
 
     The delay is searched (``estimate_delay``) and the least-squares gain
-    fitted on the window alone; the taps carry the residual power that gain
-    leaves there, relative to r_L.  When the reference correlates too
-    weakly for a trustworthy delay (nothing to cancel, or interference far
-    below the SOI), training degrades to lag 0 instead of failing, and logs
-    a warning on the ``rfcancel.canceller`` logger: the gain then shrinks
+    fitted on the window alone; no residual is formed.  When the reference
+    correlates too weakly for a trustworthy delay (nothing to cancel, or
+    interference far below the SOI), training degrades to lag 0 and logs a
+    warning on the ``rfcancel.canceller`` logger: the gain then shrinks
     toward zero.  A zero-energy reference still raises DegenerateReference.
     ``refine="residual"`` polishes the delay by correlation maximization;
     frequency-sweep training uses it to reach picosecond matching.
@@ -267,7 +265,6 @@ def train(r_l: BasebandWaveform, r_h: BasebandWaveform, window: int,
     (``subtract``) wherever it applies these taps.
     """
     check_aligned(r_l, r_h)
-    window = min(window, len(r_l))
     train_l, train_h = _prefix(r_l, window), _prefix(r_h, window)
     try:
         delay = estimate_delay(train_l, train_h, max_lag)
@@ -279,12 +276,7 @@ def train(r_l: BasebandWaveform, r_h: BasebandWaveform, window: int,
             delay = refine_delay_by_residual(train_l, train_h, delay)
     ref = true_time_delay(r_h, delay)
     ref_window = _prefix(ref, window, ref.invalid_tail - r_h.invalid_tail)
-    taps = CancellerTaps(delay, estimate_gain(train_l, ref_window))
-    p_in = train_l.power()
-    p_out = subtract(train_l, ref_window, taps.gain).power()
-    if p_in > 0 and p_out > 0:
-        taps.residual_power_db = float(10 * np.log10(p_out / p_in))
-    return taps, ref
+    return CancellerTaps(delay, estimate_gain(train_l, ref_window)), ref
 
 
 def _excess_kurtosis(x: np.ndarray) -> float:

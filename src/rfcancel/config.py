@@ -324,15 +324,32 @@ def _cross_checks(cfg: ScenarioConfig) -> list[str]:
         if n > RECORD_BUDGET:
             bad.append(f"sim.n_symbols: a record of sps * (n_symbols + "
                        f"span_symbols) = {n} samples exceeds {BUDGET_TEXT}")
-        # the delay search's own guard, on the training window and on the
-        # frequency sweep's training record
+        # two rules on the shortest training record (the training window,
+        # the record or the frequency sweep's training record).  The delay
+        # search needs the lag below a quarter of it.  The gain fit needs a
+        # sample left after the paths' delays, any delay the search and its
+        # refinement return, and at each end an INTERP_TAPS margin from the
+        # trained delay's and from a path's interpolator and half a
+        # Butterworth path's FIR.  A path delay past the record is left to
+        # the run, which names it (DelayTooLarge)
         lag = cfg.canceller.max_lag_s * sim.sample_rate_hz
         lag = round(lag) if math.isfinite(lag) else lag
-        size = min(cfg.canceller.training_window, n, cfg.sweep.train_samples)
+        size, key = min((cfg.canceller.training_window,
+                         "canceller.training_window"),
+                        (n, "sim.n_symbols"),
+                        (cfg.sweep.train_samples, "sweep.train_samples"))
+        delay = max(chan.a11.delay_s, chan.a12.delay_s,
+                    chan.a22.delay_s) * sim.sample_rate_hz
+        need = delay + lag + 3 + 4 * INTERP_TAPS + RESPONSE_TAPS - 1
         if lag >= size // 4:
             bad.append(f"canceller.max_lag_s: {lag} lag samples must be below "
                        "a quarter of min(training_window, record length, "
                        f"sweep.train_samples) = {size}")
+        elif size < need and delay < n:
+            bad.append(f"{key}: the training record must hold >= "
+                       f"{math.ceil(need)} samples to leave one for the gain "
+                       "fit after the paths' delays, the lag search and the "
+                       f"filter margins, got {size}")
     offset = abs(intf.carrier_hz - soi.carrier_hz)
     if sim.sample_rate_hz <= (2 * (intf.deviation_pp_hz + intf.mod_noise_bw_hz)
                               + 2 * offset):

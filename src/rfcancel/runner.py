@@ -213,6 +213,13 @@ class Measured:
     taps: canc.CancellerTaps | None = None
     residual: BasebandWaveform | None = None   # interference after the taps
     demix: list | None = None
+    margin: int = 0   # the delayed r_H's invalid tail past r_H's own
+
+    def window_residual_db(self, r_l: BasebandWaveform, n: int) -> float:
+        """The estimate's power over r_L's in the gain fit's window, dB."""
+        p_in = canc._prefix(r_l, n).power()
+        p_out = canc._prefix(self.estimate, n, self.margin).power()
+        return float(10 * np.log10(p_out / p_in)) if p_in and p_out else math.nan
 
     @property
     def depth_db(self) -> float:
@@ -258,7 +265,8 @@ def _measure(cfg: ScenarioConfig, mode: str, src: Sources, scale: float,
             residual = canc.cancel(img.y12, img.y22, taps)
         depth = met.cancellation_depth(img.y12, residual, occupied_band(cfg),
                                        before_psd)
-        return Measured(estimate, evm_report, depth, taps, residual)
+        return Measured(estimate, evm_report, depth, taps, residual,
+                        margin=delayed.invalid_tail - r_h.invalid_tail)
     if mode == "bss":
         result = _separate_blind(cfg, r_l, r_h)
         result = canc.resolve_permutation(result, r_h)
@@ -282,8 +290,8 @@ def run(cfg: ScenarioConfig, out_dir: str | os.PathLike | None = None) -> RunRep
         isr_db_measured=src.base_ratio_db + 20 * math.log10(scale),
         taps=None if m.taps is None else {
             "delay_s": m.taps.delay, "gain_re": m.taps.gain.real,
-            "gain_im": m.taps.gain.imag,
-            "residual_power_db": m.taps.residual_power_db},
+            "gain_im": m.taps.gain.imag, "residual_power_db":
+            m.window_residual_db(r_l, cfg.canceller.training_window)},
         demix=m.demix,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
         seed=cfg.sim.seed,

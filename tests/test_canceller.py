@@ -355,7 +355,6 @@ class TestTrain:
         taps, ref = canc.train(r_l, r_h, window, max_lag=50 / FS)
         assert taps.delay == want.delay
         assert taps.gain == want.gain
-        assert taps.residual_power_db == want.residual_power_db
         full = canc.true_time_delay(r_h, taps.delay)
         assert np.array_equal(ref.samples, full.samples)
         assert (ref.invalid_head, ref.invalid_tail) == (
@@ -371,6 +370,19 @@ class TestTrain:
                              max_lag=50 / FS)
         taps, _ = canc.train(r_l, r_h, len(r_l), max_lag=50 / FS)
         assert (taps.delay, taps.gain) == (want.delay, want.gain)
+
+    def test_forms_no_residual(self, monkeypatch):
+        """Training fits the delay and the gain: it subtracts nothing and
+        measures no power."""
+        r_l, r_h = self._pair()
+        calls = []
+        subtract, power = canc.subtract, BasebandWaveform.power
+        monkeypatch.setattr(canc, "subtract", lambda *args, **kwargs: (
+            calls.append("subtract") or subtract(*args, **kwargs)))
+        monkeypatch.setattr(BasebandWaveform, "power",
+                            lambda w: calls.append("power") or power(w))
+        canc.train(r_l, r_h, 20000, max_lag=50 / FS)
+        assert calls == []
 
     def test_delays_reference_once(self, monkeypatch):
         r_l, r_h = self._pair()

@@ -5,11 +5,13 @@ import copy
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfcancel import canceller as canc
 from rfcancel import runner
 from rfcancel.cli import main
 from rfcancel.config import RECORD_BUDGET, from_tree, validate_tree
@@ -24,6 +26,11 @@ DEFAULT = SHIPPED["default.yaml"]
 # interpolator margins, 2 * 4 of the Butterworth FIR's margins and a
 # 3-sample Welch segment
 LEAST_PROBE = 294
+# the shortest training record on evm_vs_isr.yaml and on
+# spectral_response.yaml's sweep: 5 samples of path delay and 20 of
+# max_lag_s, 2 of the delay's refinement, 4 * 64 of interpolator margins,
+# 2 * 4 of the Butterworth FIR's margins and 1 for the gain fit
+LEAST_TRAINING = 292
 
 
 def mutated(tree, keys, value):
@@ -177,7 +184,71 @@ class TestRules:
                      str(tmp_path / "out")]) == 1
         assert "canceller.max_lag_s" in capsys.readouterr().err
         if value == 80:
-            assert problems(DEFAULT, keys, 84) == []
+            # 84 passes the lag rule; the gain fit's rule below still
+            # rejects it
+            bad = problems(DEFAULT, keys, 84)
+            assert "canceller.max_lag_s" not in {p.split(":")[0] for p in bad}
+
+    @pytest.mark.parametrize("name, keys, value, least", [
+        ("evm_vs_isr.yaml", ("canceller", "training_window"), 84,
+         LEAST_TRAINING),
+        ("evm_vs_isr.yaml", ("canceller", "training_window"), 140,
+         LEAST_TRAINING),
+        ("default.yaml", ("canceller", "training_window"), 100,
+         LEAST_TRAINING - 5),
+        ("spectral_response.yaml", ("sweep", "train_samples"), 120,
+         LEAST_TRAINING)])
+    def test_training_record_leaves_a_gain_fit_sample(self, name, keys,
+                                                      value, least, tmp_path,
+                                                      capsys):
+        """A training record that the trained delay's margins can empty is
+        named with its minimum at exit 1: not a DegenerateReference at
+        exit 2, or in every sweep row, when the gain fit finds no sample.
+        default.yaml's paths have no delay, so it needs 5 samples less."""
+        field = ".".join(keys)
+        tree = mutated(SHIPPED[name], keys, value)
+        bad = validate_tree(tree)
+        assert [p.split(":")[0] for p in bad] == [field]
+        assert f"must hold >= {least} samples" in bad[0]
+        assert [p.split(":")[0] for p in problems(SHIPPED[name], keys,
+                                                  least - 1)] == [field]
+        assert problems(SHIPPED[name], keys, least) == []
+        path = tmp_path / "short.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        command = "sweep-freq" if keys[0] == "sweep" else "run"
+        for argv in (["validate-config"],
+                     [command, "--out", str(tmp_path / "out")]):
+            assert main(argv + ["--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert f"invalid: {field}:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, keys, least", [
+        ("evm_vs_isr.yaml", ("canceller", "training_window"), LEAST_TRAINING),
+        ("default.yaml", ("canceller", "training_window"),
+         LEAST_TRAINING - 5),
+        ("spectral_response.yaml", ("sweep", "train_samples"),
+         LEAST_TRAINING)])
+    def test_least_training_record_fits_every_delay(self, name, keys, least,
+                                                    monkeypatch):
+        """At the least accepted size the gain fit has samples at every
+        delay the lag search and its refinement can return, max_lag_s + 1.5
+        samples either way: on a window of the record, and on the frequency
+        sweep's training record, which is all of its record."""
+        cfg = from_tree(mutated(SHIPPED[name], keys, least))
+        fs = cfg.sim.sample_rate_hz
+        edge = round(cfg.canceller.max_lag_s * fs) + 1.5
+        if keys[0] == "sweep":
+            train = lambda: runner.train_sweep_taps(cfg)
+        else:
+            _, _, r_l, r_h = runner._configured_record(cfg)
+            train = lambda: runner._train_taps(cfg, r_l, r_h, least)[0]
+        monkeypatch.setattr(canc, "refine_delay_by_residual",
+                            lambda r_l, r_h, delay: delay)
+        for tau in np.linspace(-edge, edge, 25):
+            monkeypatch.setattr(canc, "estimate_delay",
+                                lambda *args, tau=tau: tau / fs)
+            assert np.isfinite(train().gain)
 
     def test_record_over_budget_rejected(self):
         # 40 samples per symbol: the record passes RECORD_BUDGET samples here

@@ -189,6 +189,35 @@ class TestRun:
             assert key in rep
 
 
+    @pytest.mark.parametrize("name", ["default.yaml", "evm_vs_isr.yaml"])
+    def test_training_residual_describes_the_applied_taps(self, name):
+        """taps.residual_power_db is r_L's first training_window samples
+        less the gain times the delayed r_H's, short of the delayed r_H's
+        own tail margin, against r_L's.  default.yaml applies the trained
+        taps: bit for bit the figure training used to form.  evm_vs_isr.yaml
+        applies a 1% gain error, which the figure shows."""
+        cfg = load_config(CONFIG_DIR / name)
+        c, err = cfg.canceller, cfg.canceller.taps_error
+        _, _, r_l, r_h = runner._configured_record(cfg)
+        trained, ref = canc.train(r_l, r_h, c.training_window, c.max_lag_s,
+                                  c.delay_refine)
+        applied = canc.perturb_taps(trained, err.gain_mag, err.gain_phase_deg,
+                                    err.delay_s)
+        train_l = canc._prefix(r_l, c.training_window)
+        ref_window = canc._prefix(ref, c.training_window,
+                                  ref.invalid_tail - r_h.invalid_tail)
+
+        def residual_db(gain):
+            p_out = canc.subtract(train_l, ref_window, gain).power()
+            return float(10 * np.log10(p_out / train_l.power()))
+
+        got = runner.run(cfg).taps["residual_power_db"]
+        assert got == residual_db(applied.gain)
+        if err.gain_mag:
+            assert got > residual_db(trained.gain)
+        else:
+            assert got == residual_db(trained.gain)
+
     def test_depth_residual_is_two_delay_form(self):
         """The residual formed in the delayed r_H's buffer is, bit for bit,
         the ground-truth pair cancelled on its own."""
@@ -417,6 +446,18 @@ class TestSweepIsr:
         rows = runner.sweep_isr(cfg, [-15.0, 0.0, 15.0])
         assert all(row["error"] == "" for row in rows)
         assert len(calls) == 3 + len(rows)
+
+    def test_row_subtracts_twice(self, monkeypatch):
+        """A reference-mode row subtracts for the SOI estimate and for the
+        depth residual; its training subtracts nothing."""
+        cfg = load_config(CONFIG_DIR / "evm_vs_isr.yaml")
+        calls = []
+        subtract = canc.subtract
+        monkeypatch.setattr(canc, "subtract", lambda *args, **kwargs: (
+            calls.append(1) or subtract(*args, **kwargs)))
+        rows = runner.sweep_isr(cfg, [0.0])
+        assert rows[0]["error"] == ""
+        assert len(calls) == 2
 
     def test_noisy_reference_depth_is_noise_free(self, cfg):
         """With receiver noise on r_H the depth is still measured on the
