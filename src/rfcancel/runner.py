@@ -39,7 +39,7 @@ from .sigsynth import (
     random_symbols,
 )
 from .waveform import (
-    BasebandWaveform, _atomic_write, _write_csv, save_waveform,
+    BasebandWaveform, _atomic_write, _write_csv, merge_invalid, save_waveform,
 )
 
 _log = logging.getLogger(__name__)
@@ -69,9 +69,12 @@ class Sources:
 
     The interference has unit power, and ``images`` holds both sources'
     noise-free path images and the receiver noise.  The channel is linear in
-    the interference, so the record at any ISR is one scalar on the
-    interference images: ``received(images, scale(isr_db))``.  The source
-    waveforms themselves are not kept, only their Welch PSDs.
+    the interference, so the record at any ISR is one scalar s =
+    ``scale(isr_db)`` on the interference images: r_L = (y11 + n_L) + s*y12
+    and r_H = s*y22 + n_H.  A sweep row measures on those parts without
+    forming the record (``_Record``); ``received(images, s)`` forms it where
+    a record is stored or separated blindly.  The source waveforms
+    themselves are not kept, only their Welch PSDs.
     """
 
     tx_stream: SymbolStream
@@ -160,54 +163,76 @@ def _configured_record(cfg: ScenarioConfig):
     return (src, scale, *received(src.images))
 
 
-def _train_taps(cfg: ScenarioConfig, r_l: BasebandWaveform,
-                r_h: BasebandWaveform, window: int, subtract: bool = True
-                ) -> tuple[canc.CancellerTaps, BasebandWaveform | None]:
-    """Block training over the first ``window`` samples, plus the configured
+def _training(cfg: ScenarioConfig, xs: list[BasebandWaveform],
+              ys: list[BasebandWaveform], window: int | None = None
+              ) -> canc.Training:
+    """The configured training on the record parts ``xs``/``ys``, over
+    ``window`` samples (``canceller.training_window`` by default)."""
+    c = cfg.canceller
+    return canc.Training(xs, ys, window or c.training_window, c.max_lag_s,
+                         c.delay_refine)
+
+
+def _train_taps(cfg: ScenarioConfig, training: canc.Training, s: float = 1.0,
+                subtract: bool = True
+                ) -> tuple[canc.CancellerTaps, list[BasebandWaveform] | None]:
+    """``training``'s taps at interference scale ``s``, plus the configured
     taps error.
 
-    Returns the taps and r_H delayed by them over the full record: the one
-    delayed reference that every use of these taps shares.  A caller that
-    keeps only the taps passes ``subtract=False`` and gets None for it.
+    Returns the taps and each r_H part delayed by them over the full
+    record: the delayed reference that every use of these taps shares.  A
+    caller that keeps only the taps passes ``subtract=False`` and gets None
+    for it.
     """
-    c = cfg.canceller
-    err = c.taps_error
-    taps, delayed = canc.train(r_l, r_h, window, c.max_lag_s, c.delay_refine)
+    err = cfg.canceller.taps_error
+    taps, delayed = training.train(s)
     taps = canc.perturb_taps(taps, err.gain_mag, err.gain_phase_deg,
                              err.delay_s)
     if not subtract:
         return taps, None
     if err.delay_s:
         # the delay error moves the delay line off the trained delay
-        delayed = true_time_delay(r_h, taps.delay)
+        delayed = [true_time_delay(y, taps.delay) for y in training.ys]
     return taps, delayed
 
 
-def _measure_evm(cfg: ScenarioConfig, estimate: BasebandWaveform,
-                 tx_stream: SymbolStream) -> met.EvmReport:
-    dcfg = DemodConfig(
+def _demodulate(cfg: ScenarioConfig, w: BasebandWaveform) -> np.ndarray:
+    """The symbols of ``w``, demodulated at the scenario's pulse and timing."""
+    return demodulate(w, _demod_config(cfg)).symbols
+
+
+def _demod_config(cfg: ScenarioConfig) -> DemodConfig:
+    return DemodConfig(
         sps=cfg.sps,
         format=cfg.soi.format,
         rolloff=cfg.soi.rolloff,
         span_symbols=cfg.soi.span_symbols,
         timing_offset=cfg.channel.a11.delay_s * cfg.sim.sample_rate_hz,
     )
-    rx = demodulate(estimate, dcfg)
-    first, last = valid_symbol_range(estimate, dcfg)
-    last = min(last, tx_stream.symbols.size, rx.symbols.size)
+
+
+def _measure_evm(cfg: ScenarioConfig, rx: np.ndarray,
+                 waves: list[BasebandWaveform],
+                 tx_stream: SymbolStream) -> met.EvmReport:
+    """EVM of the symbols ``rx`` demodulated from a record whose invalid
+    edges are the worst of ``waves``'."""
+    head, tail = merge_invalid(*waves)
+    edges = waves[0].with_samples(waves[0].samples, invalid_head=head,
+                                  invalid_tail=tail)
+    first, last = valid_symbol_range(edges, _demod_config(cfg))
+    last = min(last, tx_stream.symbols.size, rx.size)
     if last - first < 16:
         raise RfCancelError("too few valid symbols after edge trimming")
-    rx_trim = SymbolStream(rx.symbols[first:last], rx.format, rx.symbol_rate)
-    tx_trim = SymbolStream(tx_stream.symbols[first:last], tx_stream.format,
-                           tx_stream.symbol_rate)
-    return met.evm(rx_trim, tx_trim)
+    return met.evm(SymbolStream(rx[first:last], tx_stream.format),
+                   SymbolStream(tx_stream.symbols[first:last],
+                                tx_stream.format))
 
 
 @dataclass
 class Measured:
     """What one canceller mode made of a record, and how well."""
 
-    estimate: BasebandWaveform
+    estimate: BasebandWaveform | None          # set when asked for
     evm: met.EvmReport
     depth: met.DepthReport | None = None       # reference mode only
     taps: canc.CancellerTaps | None = None
@@ -226,6 +251,79 @@ class Measured:
         return math.nan if self.depth is None else self.depth.depth_db
 
 
+class _Record:
+    """A record as its linear parts in the interference scale s:
+    r_L = xs[0] + s*xs[1] and r_H = s*y22 + n_H, measured with the
+    canceller off or in reference mode at any s.
+
+    Demodulation, the delay line and the lag correlation are linear, so
+    the parts' symbols and, in reference mode, their training correlations
+    (``canceller.Training``) are computed once, here.  At each s, training
+    delays y22 (and n_H) once, the cancelled symbols are demod(r_L) -
+    g*s*demod(D(y22)) (less g*demod(D(n_H))), and the depth residual
+    y12 - g*D(y22) is formed in the delayed y22's buffer: no r_L, r_H or
+    SOI estimate is formed unless asked for.  A sweep leaves ``xs`` to its
+    default, [y11 + n_L, y12]; ``run`` passes its formed r_L alone and
+    measures at s = 1, with the images holding the interference at the
+    record's scale.
+    """
+
+    def __init__(self, cfg: ScenarioConfig, src: Sources,
+                 xs: list[BasebandWaveform] | None = None):
+        img = src.images
+        if xs is None:
+            x0 = img.y11
+            if img.n_l is not None:
+                x0 = x0.with_samples(x0.samples + img.n_l)
+            xs = [x0, img.y12]
+        self.cfg, self.src, self.xs = cfg, src, xs
+        self.ys = [img.y22]
+        if img.n_h is not None:
+            self.ys.append(img.y22.with_samples(img.n_h))
+        self.symbols = [_demodulate(cfg, x) for x in xs]
+        self.training = (_training(cfg, xs, self.ys)
+                         if cfg.canceller.mode == "reference" else None)
+
+    def _evm(self, rx: np.ndarray, *waves: BasebandWaveform) -> met.EvmReport:
+        return _measure_evm(self.cfg, rx, [*self.xs, *waves],
+                            self.src.tx_stream)
+
+    def _off_symbols(self, s: float) -> np.ndarray:
+        rx = self.symbols[0]
+        return rx if len(self.xs) == 1 else rx + s * self.symbols[1]
+
+    def evm_off(self, s: float) -> met.EvmReport:
+        """The EVM of r_L itself at interference scale ``s``."""
+        return self._evm(self._off_symbols(s))
+
+    def measure(self, s: float, before_psd: met.PsdEstimate | None = None,
+                estimate: bool = False) -> Measured:
+        """The canceller's result at interference scale ``s``: its EVM
+        against ``src.tx_stream``, and in reference mode the depth the taps
+        reach on the interference image y12, with y22 as its reference.
+        ``before_psd``, when set, is the Welch PSD of y12.  With
+        ``estimate`` the SOI estimate of a one-part r_L is formed as well.
+        """
+        if self.training is None:
+            return Measured(self.xs[0] if estimate else None, self.evm_off(s))
+        taps, delayed = _train_taps(self.cfg, self.training, s)
+        g = taps.gain
+        rx = self._off_symbols(s) - g * s * _demodulate(self.cfg, delayed[0])
+        if len(delayed) > 1:
+            rx -= g * _demodulate(self.cfg, delayed[1])
+        evm_report = self._evm(rx, *delayed)
+        out = None
+        if estimate:
+            out = canc.subtract(self.xs[0], canc._combine(delayed, (s, 1.0)), g)
+        img = self.src.images
+        # y12 - g*D(y22) takes over the delayed y22, which is done with
+        residual = canc.subtract(img.y12, delayed[0], g, in_place=True)
+        depth = met.cancellation_depth(img.y12, residual,
+                                       occupied_band(self.cfg), before_psd)
+        return Measured(out, evm_report, depth, taps, residual,
+                        margin=delayed[0].invalid_tail - self.ys[0].invalid_tail)
+
+
 def _separate_blind(cfg: ScenarioConfig, r_l: BasebandWaveform,
                     r_h: BasebandWaveform) -> canc.SeparationResult:
     """Blind separation of (r_l, r_h), each warning it raises logged on
@@ -238,51 +336,27 @@ def _separate_blind(cfg: ScenarioConfig, r_l: BasebandWaveform,
     return result
 
 
-def _measure(cfg: ScenarioConfig, mode: str, src: Sources, scale: float,
-             r_l: BasebandWaveform, r_h: BasebandWaveform,
-             before_psd: met.PsdEstimate | None = None) -> Measured:
-    """Separate the SOI from (r_l, r_h) in ``mode`` and measure its EVM
-    against ``src.tx_stream``, and in reference mode the depth the taps
-    reach on the interference image ``src.images.y12``, with y22 as its
-    reference.  The record holds the interference at ``scale`` times the
-    images'; ``before_psd``, when set, is the Welch PSD of y12.
-    """
-    if mode == "off":
-        return Measured(r_l, _measure_evm(cfg, r_l, src.tx_stream))
-    if mode == "reference":
-        taps, delayed = _train_taps(cfg, r_l, r_h,
-                                    cfg.canceller.training_window)
-        estimate = canc.subtract(r_l, delayed, taps.gain)
-        evm_report = _measure_evm(cfg, estimate, src.tx_stream)
-        img = src.images
-        if img.clean_reference:
-            # r_H = scale * y22, so the residual y12 - (g/scale) * D(r_H)
-            # takes over the delayed r_H, which the estimate is done with
-            residual = canc.subtract(img.y12, delayed, taps.gain / scale,
-                                     in_place=True)
-        else:
-            # y22 delayed on its own keeps the ground truth noise-free
-            residual = canc.cancel(img.y12, img.y22, taps)
-        depth = met.cancellation_depth(img.y12, residual, occupied_band(cfg),
-                                       before_psd)
-        return Measured(estimate, evm_report, depth, taps, residual,
-                        margin=delayed.invalid_tail - r_h.invalid_tail)
-    if mode == "bss":
-        result = _separate_blind(cfg, r_l, r_h)
-        result = canc.resolve_permutation(result, r_h)
-        estimate = result.outputs[0]
-        return Measured(estimate, _measure_evm(cfg, estimate, src.tx_stream),
-                        demix=[[(c.real, c.imag) for c in row]
-                               for row in result.demix])
-    raise RfCancelError(f"unknown canceller mode {mode!r}")  # pragma: no cover
+def _measure_blind(cfg: ScenarioConfig, src: Sources, r_l: BasebandWaveform,
+                   r_h: BasebandWaveform) -> Measured:
+    """Blind separation of the record (r_l, r_h) and the EVM of its SOI
+    output against ``src.tx_stream``."""
+    result = canc.resolve_permutation(_separate_blind(cfg, r_l, r_h), r_h)
+    estimate = result.outputs[0]
+    return Measured(estimate, _measure_evm(cfg, _demodulate(cfg, estimate),
+                                           [estimate], src.tx_stream),
+                    demix=[[(c.real, c.imag) for c in row]
+                           for row in result.demix])
 
 
 def run(cfg: ScenarioConfig, out_dir: str | os.PathLike | None = None) -> RunReport:
     """Execute one scenario: synthesize, mix, cancel, demodulate, measure."""
     t0 = time.perf_counter()
     src, scale, r_l, r_h = _configured_record(cfg)
-    # the images already hold the interference at ``scale``
-    m = _measure(cfg, cfg.canceller.mode, src, 1.0, r_l, r_h)
+    if cfg.canceller.mode == "bss":
+        m = _measure_blind(cfg, src, r_l, r_h)
+    else:
+        # the images already hold the interference at ``scale``
+        m = _Record(cfg, src, [r_l]).measure(1.0, estimate=True)
     report = RunReport(
         mode=cfg.canceller.mode,
         evm_pct=m.evm.evm_rms_pct,
@@ -375,32 +449,37 @@ def _evm_sweep(cfg: ScenarioConfig, columns: list[str], values: list,
     """EVM with and without cancellation, and the depth, at each axis value;
     ``point(value)`` gives the row's config and ISR.
 
-    The sources are kept while the SOI format stays the same; a row with
-    another format rebuilds only the SOI on the same interference.  The
-    depth's "before", the Welch PSD of the unit-power ``src.images.y12``,
-    is computed once, in reference mode only.  With the canceller off
-    only ``evm_off_pct`` is measured, and the other cells stay nan.  A
-    row's record and estimates die with its row, so one row's arrays are
-    freed before the next row allocates its own.
+    The sources and their linear parts (``_Record``) are kept while the SOI
+    format stays the same; a row with another format rebuilds only the SOI
+    on the same interference.  The parts' symbols and training correlations
+    are computed once per sources, so a reference-mode row delays y22 once,
+    demodulates once and subtracts once, for the depth residual, and forms
+    no record.  The depth's "before", the Welch PSD of the unit-power
+    ``src.images.y12``, is computed once, in reference mode only.  With the
+    canceller off only ``evm_off_pct`` is measured, and the other cells stay
+    nan.  A ``bss`` row forms its record, r_L and r_H, for the separator.
     """
     mode = cfg.canceller.mode
-    src = before = None
+    rec = before = None
 
     def fill(row, value):
-        nonlocal src, before
+        nonlocal rec, before
         row_cfg, isr_db = point(value)
-        if src is None or src.tx_stream.format != row_cfg.soi.format:
-            src = synthesize_sources(row_cfg, src)
+        if rec is None or rec.src.tx_stream.format != row_cfg.soi.format:
+            rec = _Record(row_cfg, synthesize_sources(row_cfg, rec and rec.src))
             if before is None and mode == "reference":
-                before = met.welch_psd(src.images.y12)
-        scale = src.scale(isr_db)
-        r_l, r_h = received(src.images, scale)
-        row["evm_off_pct"] = _measure(row_cfg, "off", src, scale, r_l,
-                                      r_h).evm.evm_rms_pct
-        if mode != "off":
-            on = _measure(row_cfg, mode, src, scale, r_l, r_h, before)
-            row["evm_on_pct"] = on.evm.evm_rms_pct
-            row["depth_db"] = on.depth_db
+                before = met.welch_psd(rec.src.images.y12)
+        scale = rec.src.scale(isr_db)
+        row["evm_off_pct"] = rec.evm_off(scale).evm_rms_pct
+        if mode == "reference":
+            on = rec.measure(scale, before)
+        elif mode == "bss":
+            on = _measure_blind(row_cfg, rec.src,
+                                *received(rec.src.images, scale))
+        else:
+            return
+        row["evm_on_pct"] = on.evm.evm_rms_pct
+        row["depth_db"] = on.depth_db
 
     return _sweep(columns, values, fill, out_dir, table)
 
@@ -451,7 +530,8 @@ def train_sweep_taps(cfg: ScenarioConfig) -> canc.CancellerTaps:
     probe = _interference(cfg, fm_seed, cfg.sweep.train_samples,
                           cfg.sweep.train_carrier_hz or cfg.soi.carrier_hz)
     r_l, r_h = _path_pair(probe, cfg.channel.to_scenario(chan_seed))
-    return _train_taps(cfg, r_l, r_h, len(r_l), subtract=False)[0]
+    return _train_taps(cfg, _training(cfg, [r_l], [r_h], len(r_l)),
+                       subtract=False)[0]
 
 
 def sweep_frequency(cfg: ScenarioConfig, carriers: list[float],
@@ -509,8 +589,7 @@ def compare_separators(cfg: ScenarioConfig,
     def fill(row, method):
         t0 = time.perf_counter()
         if method == "reference":
-            taps, delayed = _train_taps(cfg, r_l, r_h,
-                                        cfg.canceller.training_window)
+            taps, (delayed,) = _train_taps(cfg, _training(cfg, [r_l], [r_h]))
             out = canc.subtract(r_l, delayed, taps.gain)
             row.update(iterations=1, free_parameters=2, converged=True)
         else:

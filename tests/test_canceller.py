@@ -100,7 +100,8 @@ class TestXcorrPeak:
         r_l, r_h = _lagged_pair(4096, lag)
         want_lag, want_peak = _full_xcorr_peak(r_l.samples, r_h.samples,
                                                max_lag)
-        got_lag, got_peak = canc._xcorr_peak(r_l, r_h, max_lag)
+        got_lag, got_peak = canc._xcorr_peak(
+            canc._correlate([r_l], [r_h], max_lag))
         assert got_lag == pytest.approx(want_lag, abs=1e-9)
         assert got_peak == pytest.approx(want_peak, rel=1e-12)
 
@@ -115,7 +116,8 @@ class TestXcorrPeak:
             sizes.append(m)
             return _f(a, m, *args, **kw)
         monkeypatch.setattr(np.fft, "fft", spy)
-        got_lag, got_peak = canc._xcorr_peak(r_l, r_h, max_lag)
+        got_lag, got_peak = canc._xcorr_peak(
+            canc._correlate([r_l], [r_h], max_lag))
         assert len(sizes) == 2
         for m in sizes:
             assert m >= n + max_lag and five_smooth(m)
@@ -320,7 +322,7 @@ class TestCancelAuto:
         r_l = apply_path(src, PathModel(gain=0.1, delay=15e-9))
         r_l = r_l.with_samples(r_l.samples + soi.samples)
         r_h = apply_path(src, PathModel(gain=0.9, delay=5e-9))
-        _, peak = canc._xcorr_peak(r_l, r_h, 50)
+        _, peak = canc._xcorr_peak(canc._correlate([r_l], [r_h], 50))
         assert 8 / np.sqrt(n) < peak < canc.COHERENCE_THRESHOLD
         delay = canc.estimate_delay(r_l, r_h, max_lag=50 / FS)
         assert delay == pytest.approx(10e-9, abs=0.1 / FS)

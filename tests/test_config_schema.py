@@ -242,11 +242,12 @@ class TestRules:
             train = lambda: runner.train_sweep_taps(cfg)
         else:
             _, _, r_l, r_h = runner._configured_record(cfg)
-            train = lambda: runner._train_taps(cfg, r_l, r_h, least)[0]
+            train = lambda: runner._train_taps(
+                cfg, runner._training(cfg, [r_l], [r_h], least))[0]
         monkeypatch.setattr(canc, "refine_delay_by_residual",
                             lambda r_l, r_h, delay: delay)
         for tau in np.linspace(-edge, edge, 25):
-            monkeypatch.setattr(canc, "estimate_delay",
+            monkeypatch.setattr(canc.Training, "delay",
                                 lambda *args, tau=tau: tau / fs)
             assert np.isfinite(train().gain)
 

@@ -1,5 +1,6 @@
 """Tests for scenario execution, sweeps, and artifact self-consistency."""
 
+import collections
 import copy
 import csv
 import doctest
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import rfcancel
 from rfcancel import canceller as canc
@@ -24,11 +26,11 @@ from rfcancel import metrics as met
 from rfcancel import runner
 from rfcancel.channel import apply_path, received
 from rfcancel.config import CSV_KINDS, from_tree, load_config
-from rfcancel.demod import DemodConfig, valid_symbol_range
+from rfcancel.demod import DemodConfig, demodulate, valid_symbol_range
 from rfcancel.errors import (
     AmbiguousLabeling, DegenerateReference, RfCancelError,
 )
-from rfcancel.sigsynth import random_symbols
+from rfcancel.sigsynth import SymbolStream, random_symbols
 
 BASE_TREE = yaml.safe_load("""
 schema_version: 1
@@ -223,7 +225,7 @@ class TestRun:
         the ground-truth pair cancelled on its own."""
         cfg = load_config(CONFIG_DIR / "default.yaml")
         src, _, r_l, r_h = runner._configured_record(cfg)
-        m = runner._measure(cfg, "reference", src, 1.0, r_l, r_h)
+        m = runner._Record(cfg, src, [r_l]).measure(1.0, estimate=True)
         want = canc.cancel(src.images.y12, src.images.y22, m.taps)
         assert np.array_equal(m.residual.samples, want.samples)
         assert (m.residual.invalid_head, m.residual.invalid_tail) == (
@@ -238,8 +240,7 @@ class TestRun:
         synthesis, two for the depth and two for the PSD artifacts (the
         sources' PSDs are the synthesis ones)."""
         src, _, r_l, r_h = runner._configured_record(cfg)
-        taps, _ = runner._train_taps(cfg, r_l, r_h,
-                                     cfg.canceller.training_window)
+        taps = runner._Record(cfg, src, [r_l]).measure(1.0).taps
         residual = canc.cancel(src.images.y12, src.images.y22, taps)
         want = met.cancellation_depth(src.images.y12, residual,
                                       runner.occupied_band(cfg))
@@ -267,8 +268,8 @@ class TestRun:
         assert np.sqrt(np.mean(np.abs(aligned) ** 2)) == pytest.approx(
             1.0, rel=0.02)
         src, _, r_l, r_h = runner._configured_record(cfg)
-        estimate = runner._measure(cfg, cfg.canceller.mode, src, 1.0, r_l,
-                                   r_h).estimate
+        estimate = runner._Record(cfg, src, [r_l]).measure(
+            1.0, estimate=True).estimate
         first, _ = valid_symbol_range(estimate, DemodConfig(
             sps=cfg.sps, format=cfg.soi.format,
             span_symbols=cfg.soi.span_symbols))
@@ -399,6 +400,18 @@ class TestGroundTruth:
             np.abs(src.images.y22.samples))
 
 
+def _assert_row_is_run(row, cfg):
+    """A sweep row's cells against a run of ``cfg`` and one with the
+    canceller off."""
+    rep = runner.run(cfg)
+    off = runner.run(replace(cfg, canceller=replace(cfg.canceller,
+                                                    mode="off")))
+    assert row["error"] == ""
+    assert row["evm_on_pct"] == pytest.approx(rep.evm_pct, rel=1e-9)
+    assert row["depth_db"] == pytest.approx(rep.depth_db, rel=1e-9)
+    assert row["evm_off_pct"] == pytest.approx(off.evm_pct, rel=1e-9)
+
+
 class TestSweepIsr:
     def test_empty_list(self, cfg):
         assert runner.sweep_isr(cfg, []) == []
@@ -407,15 +420,8 @@ class TestSweepIsr:
         isrs = [-25.0, -15.0, 0.0, 18.0]
         rows = runner.sweep_isr(cfg, isrs)
         for isr, row in zip(isrs, rows):
-            at = replace(cfg, interference=replace(cfg.interference,
-                                                   isr_db=isr))
-            rep = runner.run(at)
-            off = runner.run(replace(at, canceller=replace(at.canceller,
-                                                           mode="off")))
-            assert row["error"] == ""
-            assert row["evm_on_pct"] == pytest.approx(rep.evm_pct, rel=1e-9)
-            assert row["depth_db"] == pytest.approx(rep.depth_db, rel=1e-9)
-            assert row["evm_off_pct"] == pytest.approx(off.evm_pct, rel=1e-9)
+            _assert_row_is_run(row, replace(cfg, interference=replace(
+                cfg.interference, isr_db=isr)))
 
     def test_sources_synthesized_once(self, cfg, monkeypatch):
         calls = {"generate_fm_interference": 0, "generate_soi": 0}
@@ -447,17 +453,40 @@ class TestSweepIsr:
         assert all(row["error"] == "" for row in rows)
         assert len(calls) == 3 + len(rows)
 
-    def test_row_subtracts_twice(self, monkeypatch):
-        """A reference-mode row subtracts for the SOI estimate and for the
-        depth residual; its training subtracts nothing."""
+    @pytest.mark.parametrize("isrs, want", [
+        ([0.0], {"subtract": 1, "demodulate": 3}),
+        (None, {"subtract": 10, "demodulate": 12}),
+    ], ids=["one-row", "shipped-sweep"])
+    def test_row_work_count(self, monkeypatch, isrs, want):
+        """A reference-mode row subtracts once, for the depth residual, and
+        demodulates once, its delayed y22; the sweep demodulates y11 and
+        y12 once, and no row forms a record with ``received``."""
         cfg = load_config(CONFIG_DIR / "evm_vs_isr.yaml")
-        calls = []
-        subtract = canc.subtract
-        monkeypatch.setattr(canc, "subtract", lambda *args, **kwargs: (
-            calls.append(1) or subtract(*args, **kwargs)))
-        rows = runner.sweep_isr(cfg, [0.0])
-        assert rows[0]["error"] == ""
-        assert len(calls) == 2
+        calls = collections.Counter()
+        for module, name in ((canc, "subtract"), (runner, "demodulate"),
+                             (runner, "received"), (channel, "received")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _f=fn, _n=name, **k:
+                                calls.update([_n]) or _f(*a, **k))
+        rows = runner.sweep_isr(cfg, cfg.sweep.isr_db if isrs is None
+                                else isrs)
+        assert all(row["error"] == "" for row in rows)
+        assert calls == want
+
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_rows_are_runs(self, seed):
+        """Each evm_vs_isr.yaml row is a run at its ISR: evm_on_pct and
+        depth_db those of a reference-mode run, evm_off_pct that of a run
+        with the canceller off, within rel 1e-9; at the shipped seed and at
+        seed 4."""
+        cfg = load_config(CONFIG_DIR / "evm_vs_isr.yaml")
+        if seed is not None:
+            cfg = replace(cfg, sim=replace(cfg.sim, seed=seed))
+        isrs = [-15.0, 0.0, 18.0]
+        for isr, row in zip(isrs, runner.sweep_isr(cfg, isrs)):
+            at = replace(cfg, interference=replace(cfg.interference,
+                                                   isr_db=isr))
+            _assert_row_is_run(row, at)
 
     def test_noisy_reference_depth_is_noise_free(self, cfg):
         """With receiver noise on r_H the depth is still measured on the
@@ -472,8 +501,8 @@ class TestSweepIsr:
         y12, y22 = src.images.y12, src.images.y22
         for isr, row in zip(isrs, rows):
             r_l, r_h = received(src.images, src.scale(isr))
-            taps, _ = runner._train_taps(noisy, r_l, r_h,
-                                         noisy.canceller.training_window)
+            taps, _ = runner._train_taps(
+                noisy, runner._training(noisy, [r_l], [r_h]))
             want = met.cancellation_depth(y12, canc.cancel(y12, y22, taps),
                                           runner.occupied_band(noisy))
             assert row["error"] == ""
@@ -484,6 +513,111 @@ class TestSweepIsr:
         lines = (tmp_path / "sweep_isr.csv").read_text().strip().split("\n")
         assert lines[0] == "isr_db,evm_off_pct,evm_on_pct,depth_db,error"
         assert len(lines) == 3
+
+
+def _record_path(cfg, src, s):
+    """Taps, EVM off and on, and depth of the record formed at scale s:
+    ``received``, ``canceller.train``, then ``subtract`` and ``cancel``."""
+    c, err = cfg.canceller, cfg.canceller.taps_error
+    r_l, r_h = received(src.images, s)
+    taps, ref = canc.train(r_l, r_h, c.training_window, c.max_lag_s,
+                           c.delay_refine)
+    taps = canc.perturb_taps(taps, err.gain_mag, err.gain_phase_deg,
+                             err.delay_s)
+    if err.delay_s:
+        ref = channel.true_time_delay(r_h, taps.delay)
+    dcfg = DemodConfig(sps=cfg.sps, format=cfg.soi.format,
+                       rolloff=cfg.soi.rolloff,
+                       span_symbols=cfg.soi.span_symbols)
+
+    def evm_pct(w):
+        first, last = valid_symbol_range(w, dcfg)
+        tx = src.tx_stream.symbols[first:last]
+        rx = demodulate(w, dcfg).symbols[first:last]
+        return met.evm(SymbolStream(rx, cfg.soi.format),
+                       SymbolStream(tx, cfg.soi.format)).evm_rms_pct
+
+    y12, y22 = src.images.y12, src.images.y22
+    depth = met.cancellation_depth(y12, canc.cancel(y12, y22, taps),
+                                   runner.occupied_band(cfg)).depth_db
+    return taps, evm_pct(r_l), evm_pct(canc.subtract(r_l, ref, taps.gain)), depth
+
+
+class _Lag0Count(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += "training at lag 0" in record.getMessage()
+
+
+class TestLinearParts:
+    """A sweep row measured on the record's linear parts is the record
+    formed at its ISR, measured on its own."""
+
+    @settings(max_examples=40, deadline=None, database=None,
+              derandomize=True)
+    @given(isr_db=st.floats(-20.0, 18.0),
+           delays=st.tuples(st.floats(0.0, 3e-8), st.floats(0.0, 3e-8)),
+           butterworth=st.booleans(),
+           noise=st.tuples(*[st.sampled_from([0.0, 1e-10])] * 3),
+           delay_error=st.sampled_from([0.0, 1.3e-11]),
+           refine=st.sampled_from(["parabolic", "residual"]),
+           max_lag=st.sampled_from([1e-7, 5e-7]),
+           seed=st.integers(0, 1000))
+    @example(isr_db=-300.0, delays=(2.5e-8, 1e-8), butterworth=False,
+             noise=(0.0, 0.0, 0.0), delay_error=0.0, refine="parabolic",
+             max_lag=1e-7, seed=715)
+    @example(isr_db=-300.0, delays=(2.5e-8, 1e-8), butterworth=True,
+             noise=(1e-10, 1e-10, 1e-10), delay_error=1.3e-11,
+             refine="residual", max_lag=5e-7, seed=4)
+    def test_parts_are_the_formed_record(self, isr_db, delays, butterworth,
+                                         noise, delay_error, refine, max_lag,
+                                         seed):
+        tree = copy.deepcopy(BASE_TREE)
+        paths = tree["channel"]["paths"]
+        for name, psd in zip(("a11", "a12", "a22"), noise):
+            paths[name]["noise_psd"] = psd
+        for name, delay, f3db in (("a12", delays[0], 9e9),
+                                  ("a22", delays[1], 1.05e10)):
+            paths[name]["delay_s"] = delay
+            if butterworth:
+                paths[name]["response"] = {"kind": "butterworth_lowpass",
+                                           "f3db_hz": f3db, "order": 4}
+        tree["canceller"].update(training_window=16384, delay_refine=refine,
+                                 max_lag_s=max_lag)
+        tree["canceller"]["taps_error"]["delay_s"] = delay_error
+        tree["sim"].update(n_symbols=1024, seed=seed)
+        cfg = from_tree(tree)
+        src = runner.synthesize_sources(cfg)
+        s = src.scale(isr_db)
+        log = logging.getLogger("rfcancel.canceller")
+        counts = []
+        for measure in ("parts", "record"):
+            handler = _Lag0Count()
+            log.addHandler(handler)
+            try:
+                if measure == "parts":
+                    rec = runner._Record(cfg, src)
+                    got = rec.measure(s)
+                    off = rec.evm_off(s).evm_rms_pct
+                else:
+                    taps, want_off, want_on, depth = _record_path(cfg, src, s)
+            finally:
+                log.removeHandler(handler)
+            counts.append(handler.count)
+        # the lag-0 fallback logs once, on both paths alike
+        assert counts[0] == counts[1] <= 1
+        if isr_db == -300.0:
+            assert counts == [1, 1]
+        fs = cfg.sim.sample_rate_hz
+        assert abs(got.taps.delay - taps.delay) * fs <= 1e-9 * max(
+            1.0, abs(taps.delay) * fs)
+        assert abs(got.taps.gain - taps.gain) <= 1e-9 * abs(taps.gain)
+        assert off == pytest.approx(want_off, rel=1e-9)
+        assert got.evm.evm_rms_pct == pytest.approx(want_on, rel=1e-9)
+        assert got.depth_db == pytest.approx(depth, rel=1e-9)
 
 
 class TestSweepFrequency:
@@ -629,6 +763,18 @@ class TestSweepFormat:
         rows = runner.sweep_format(cfg, ["qpsk", "qpsk"])
         assert rows[0] == rows[1]
         assert len(calls) == 1
+
+    def test_rows_are_runs(self):
+        """Each format_robustness.yaml row is a run of its format at
+        sweep.format_isr_db, within rel 1e-9."""
+        cfg = load_config(CONFIG_DIR / "format_robustness.yaml")
+        rows = runner.sweep_format(cfg, cfg.sweep.formats)
+        assert len(rows) == 3
+        for fmt, row in zip(cfg.sweep.formats, rows):
+            _assert_row_is_run(row, replace(
+                cfg, soi=replace(cfg.soi, format=fmt),
+                interference=replace(cfg.interference,
+                                     isr_db=cfg.sweep.format_isr_db)))
 
     def test_single_format_consistent(self, cfg):
         rows = runner.sweep_format(cfg, ["qpsk"])
