@@ -12,7 +12,7 @@ baseband offset) with Hermitian symmetry, so they describe real filters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -293,18 +293,15 @@ def apply_path(w: BasebandWaveform, p: PathModel,
 
 
 @dataclass
-class PathImages:
-    """The channel's output split into its linear parts.
+class InterferenceImages:
+    """The channel's output before the SOI enters it.
 
-    ``y11`` is the noise-free image of the SOI on r_L and ``y12``/``y22``
-    those of the interference on r_L/r_H; ``n_l``/``n_h`` are the noise
-    each receiver adds.  Because the channel is linear in the interference,
-    a record at any interference amplitude ``scale`` is
-    r_L = y11 + scale*y12 + n_L and r_H = scale*y22 + n_H (see
-    ``received``).  A noise entry is None when its paths are noiseless.
+    ``y12``/``y22`` are the noise-free images of the interference on
+    r_L/r_H, and ``n_l``/``n_h`` the noise each receiver adds, None when
+    its paths are noiseless.  The noise depends on the record's length and
+    rate alone, so it is drawn here, before any SOI exists.
     """
 
-    y11: BasebandWaveform
     y12: BasebandWaveform
     y22: BasebandWaveform
     n_l: np.ndarray | None
@@ -317,9 +314,25 @@ class PathImages:
 
     def with_soi(self, soi: BasebandWaveform,
                  scenario: MixingScenario) -> "PathImages":
-        """The same interference images and noise with another SOI's image."""
+        """These interference images and noise, with ``soi``'s image."""
         check_aligned(soi, self.y12)
-        return replace(self, y11=_image(soi, scenario.a11))
+        return PathImages(self.y12, self.y22, self.n_l, self.n_h,
+                          _image(soi, scenario.a11))
+
+
+@dataclass
+class PathImages(InterferenceImages):
+    """The channel's output split into its linear parts.
+
+    ``y11`` is the noise-free image of the SOI on r_L, beside the
+    interference images and noise.  Because the channel is linear in the
+    interference, a record at any interference amplitude ``scale`` is
+    r_L = y11 + scale*y12 + n_L and r_H = scale*y22 + n_H (see
+    ``received``).  ``y11`` is None once a caller that has formed r_L
+    releases it.
+    """
+
+    y11: BasebandWaveform | None
 
 
 def _sum_noise(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
@@ -338,21 +351,25 @@ def path_rngs(scenario: MixingScenario) -> list[np.random.Generator]:
             for s in np.random.SeedSequence(scenario.seed).spawn(4)]
 
 
-def path_images(soi: BasebandWaveform, interference: BasebandWaveform,
-                scenario: MixingScenario) -> PathImages:
-    """Noise-free path images of both sources and the per-receiver noise,
-    drawn from ``path_rngs``."""
-    check_aligned(soi, interference)
+def interference_images(interference: BasebandWaveform,
+                        scenario: MixingScenario) -> InterferenceImages:
+    """Noise-free path images of the interference and the per-receiver
+    noise, drawn from ``path_rngs``: all of the channel's output but the
+    SOI's image, which ``with_soi`` adds."""
     rng11, rng12, _, rng22 = path_rngs(scenario)
-    # the SOI image last, the order `multiband`'s peak RSS was measured at
-    y12 = _image(interference, scenario.a12)
-    y22 = _image(interference, scenario.a22)
-    return PathImages(
-        y11=_image(soi, scenario.a11), y12=y12, y22=y22,
-        n_l=_sum_noise(_noise(scenario.a11, soi, rng11),
+    return InterferenceImages(
+        y12=_image(interference, scenario.a12),
+        y22=_image(interference, scenario.a22),
+        n_l=_sum_noise(_noise(scenario.a11, interference, rng11),
                        _noise(scenario.a12, interference, rng12)),
         n_h=_noise(scenario.a22, interference, rng22),
     )
+
+
+def path_images(soi: BasebandWaveform, interference: BasebandWaveform,
+                scenario: MixingScenario) -> PathImages:
+    """Noise-free path images of both sources and the per-receiver noise."""
+    return interference_images(interference, scenario).with_soi(soi, scenario)
 
 
 def received(images: PathImages,
@@ -393,6 +410,7 @@ def gain_from_db(gain_db: float, phase_deg: float = 0.0) -> complex:
 __all__ = [
     "INTERP_BETA",
     "INTERP_TAPS",
+    "InterferenceImages",
     "MixingScenario",
     "ModulatorResponse",
     "PathImages",
@@ -403,6 +421,7 @@ __all__ = [
     "apply_path",
     "fractional_delay",
     "gain_from_db",
+    "interference_images",
     "mix",
     "path_images",
     "path_rngs",

@@ -30,6 +30,10 @@ DEFAULT_SEG_LEN = 4096
 # the shortest Welch segment: a 2-sample Hann window is all zeros, and a
 # one-bin PSD has no bin width
 MIN_SEG_LEN = 3
+# Welch frames per partial sum, and per FFT call: at 4096-sample segments
+# the work buffers take 0.84 MiB
+WELCH_GROUP = 32
+WELCH_BATCH = 8
 
 
 @dataclass
@@ -105,19 +109,28 @@ def welch_psd(w: BasebandWaveform, seg_len: int | None = None) -> PsdEstimate:
     frames = sliding_window_view(x, seg_len)[::hop]
     n_seg = frames.shape[0]
     acc = np.zeros(seg_len)
-    # 32 frames per FFT call, through one spectrum and one magnitude buffer
-    # that every batch reuses: no temporaries at any record length
-    batch = min(32, n_seg)
+    group = np.empty(seg_len)
+    # frame powers are summed one after another in groups of WELCH_GROUP
+    # frames, and each group's sum is added to acc: that order sets the
+    # PSD's bits.  An FFT call takes WELCH_BATCH frames into one spectrum
+    # and one power buffer that every call reuses, and row 0 of the power
+    # buffer carries the group's sum from call to call (0 + p = p exactly)
+    batch = min(WELCH_BATCH, n_seg)
     spectra = np.empty((batch, seg_len), dtype=np.complex128)
-    power = np.empty((batch, seg_len))
-    for k in range(0, n_seg, 32):
-        m = min(32, n_seg - k)
-        s, p = spectra[:m], power[:m]
-        np.multiply(frames[k: k + m], window, out=s)
-        np.fft.fft(s, axis=1, out=s)
-        np.abs(s, out=p)
-        p *= p
-        acc += np.sum(p, axis=0)
+    power = np.empty((batch + 1, seg_len))
+    for k in range(0, n_seg, WELCH_GROUP):
+        stop = min(k + WELCH_GROUP, n_seg)
+        power[0] = 0.0
+        for j in range(k, stop, batch):
+            m = min(batch, stop - j)
+            s, p = spectra[:m], power[1:m + 1]
+            np.multiply(frames[j: j + m], window, out=s)
+            np.fft.fft(s, axis=1, out=s)
+            np.abs(s, out=p)
+            p *= p
+            np.sum(power[:m + 1], axis=0, out=group)
+            power[0] = group
+        acc += group
     # density scaling: |X|^2 / (fs * sum(window^2)), averaged over segments
     psd = np.fft.fftshift(acc / (n_seg * w.sample_rate * win_power))
     freqs = np.fft.fftshift(np.fft.fftfreq(seg_len, d=1.0 / w.sample_rate))

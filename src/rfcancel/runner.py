@@ -25,8 +25,8 @@ from . import canceller as canc
 from . import metrics as met
 # mix is unused here but stays importable as runner.mix
 from .channel import (  # noqa: F401
-    MixingScenario, PathImages, apply_path, mix, path_images, path_rngs,
-    received, true_time_delay,
+    MixingScenario, PathImages, apply_path, interference_images, mix,
+    path_rngs, received, true_time_delay,
 )
 from .config import PROBE_HALF_BAND_HZ, ScenarioConfig
 from .demod import DemodConfig, demodulate, valid_symbol_range
@@ -114,38 +114,39 @@ def _interference(cfg: ScenarioConfig, seed: int, n: int,
 
 def synthesize_sources(cfg: ScenarioConfig,
                        share: Sources | None = None) -> Sources:
-    """Build the symbols, the SOI, the unit-power interference and their
+    """Build the symbols, the unit-power interference, the SOI and their
     path images, and measure the interference/SOI density ratio at the SOI
     carrier (baseband 0) from their Welch PSDs.
 
-    ``share`` holds the sources of another SOI format on the same seed and
-    channel: its interference PSD, interference images and noise are reused
-    and only the SOI side is rebuilt.
+    The interference is built, measured and taken through its paths, and
+    freed, before the SOI exists: the two are never alive at once.  ``share``
+    holds the sources of another SOI format on the same seed and channel:
+    its interference PSD, interference images and noise are reused and
+    only the SOI side is rebuilt.
     """
     bits_seed, fm_seed, chan_seed, _ = _seed_ints(cfg.sim.seed)
     stream = random_symbols(cfg.soi.format, cfg.sim.n_symbols,
                             cfg.soi.symbol_rate_hz,
                             np.random.default_rng(bits_seed))
+    scenario = cfg.channel.to_scenario(chan_seed)
+    if share is not None:
+        psd_int, images = share.psd_int, share.images
+    else:
+        n = (cfg.sim.n_symbols + cfg.soi.span_symbols) * cfg.sps
+        interference = _interference(cfg, fm_seed, n, cfg.soi.carrier_hz)
+        offset = cfg.interference.carrier_hz - cfg.soi.carrier_hz
+        if offset:
+            interference.samples *= np.exp(
+                2j * np.pi * offset * (np.arange(n) / cfg.sim.sample_rate_hz))
+        psd_int = met.welch_psd(interference)
+        images = interference_images(interference, scenario)
+        del interference
     soi = generate_soi(stream, cfg.sps, cfg.soi.rolloff,
                        cfg.soi.span_symbols, center_freq=cfg.soi.carrier_hz,
                        power=cfg.soi.power)
     psd_soi = met.welch_psd(soi)
-    scenario = cfg.channel.to_scenario(chan_seed)
-    if share is not None:
-        return Sources(stream, psd_soi, share.psd_int,
-                       met.isr_at(psd_soi, share.psd_int, 0.0),
-                       share.images.with_soi(soi, scenario))
-    interference = _interference(cfg, fm_seed, len(soi), cfg.soi.carrier_hz)
-    offset = cfg.interference.carrier_hz - cfg.soi.carrier_hz
-    if offset:
-        t = np.arange(len(interference)) / cfg.sim.sample_rate_hz
-        interference = interference.with_samples(
-            interference.samples * np.exp(2j * np.pi * offset * t)
-        )
-    psd_int = met.welch_psd(interference)
-    return Sources(stream, psd_soi, psd_int,
-                   met.isr_at(psd_soi, psd_int, 0.0),
-                   path_images(soi, interference, scenario))
+    return Sources(stream, psd_soi, psd_int, met.isr_at(psd_soi, psd_int, 0.0),
+                   images.with_soi(soi, scenario))
 
 
 def _configured_record(cfg: ScenarioConfig):
@@ -297,12 +298,14 @@ class _Record:
         return self._evm(self._off_symbols(s))
 
     def measure(self, s: float, before_psd: met.PsdEstimate | None = None,
-                estimate: bool = False) -> Measured:
+                estimate: int = 0) -> Measured:
         """The canceller's result at interference scale ``s``: its EVM
         against ``src.tx_stream``, and in reference mode the depth the taps
         reach on the interference image y12, with y22 as its reference.
         ``before_psd``, when set, is the Welch PSD of y12.  With
-        ``estimate`` the SOI estimate of a one-part r_L is formed as well.
+        ``estimate`` > 0 the SOI estimate of a one-part r_L is formed as
+        well: its first ``estimate`` samples, with the invalid edges they
+        have in the whole estimate (with the canceller off, r_L itself).
         """
         if self.training is None:
             return Measured(self.xs[0] if estimate else None, self.evm_off(s))
@@ -312,16 +315,18 @@ class _Record:
         if len(delayed) > 1:
             rx -= g * _demodulate(self.cfg, delayed[1])
         evm_report = self._evm(rx, *delayed)
+        margin = delayed[0].invalid_tail - self.ys[0].invalid_tail
         out = None
         if estimate:
-            out = canc.subtract(self.xs[0], canc._combine(delayed, (s, 1.0)), g)
+            ref = canc._combine([canc._prefix(d, estimate, margin)
+                                 for d in delayed], (s, 1.0))
+            out = canc.subtract(canc._prefix(self.xs[0], estimate), ref, g)
         img = self.src.images
         # y12 - g*D(y22) takes over the delayed y22, which is done with
         residual = canc.subtract(img.y12, delayed[0], g, in_place=True)
         depth = met.cancellation_depth(img.y12, residual,
                                        occupied_band(self.cfg), before_psd)
-        return Measured(out, evm_report, depth, taps, residual,
-                        margin=delayed[0].invalid_tail - self.ys[0].invalid_tail)
+        return Measured(out, evm_report, depth, taps, residual, margin=margin)
 
 
 def _separate_blind(cfg: ScenarioConfig, r_l: BasebandWaveform,
@@ -352,11 +357,18 @@ def run(cfg: ScenarioConfig, out_dir: str | os.PathLike | None = None) -> RunRep
     """Execute one scenario: synthesize, mix, cancel, demodulate, measure."""
     t0 = time.perf_counter()
     src, scale, r_l, r_h = _configured_record(cfg)
+    # r_L holds all that a run reads of the SOI image
+    src.images.y11 = None
     if cfg.canceller.mode == "bss":
         m = _measure_blind(cfg, src, r_l, r_h)
     else:
-        # the images already hold the interference at ``scale``
-        m = _Record(cfg, src, [r_l]).measure(1.0, estimate=True)
+        # the images already hold the interference at ``scale``; the whole
+        # SOI estimate is formed for an artifact that stores it, and
+        # otherwise only the training window that the taps' residual reads
+        stored = out_dir is not None and {"psd", "waveforms"} & set(
+            cfg.outputs.csv)
+        m = _Record(cfg, src, [r_l]).measure(
+            1.0, estimate=len(r_l) if stored else cfg.canceller.training_window)
     report = RunReport(
         mode=cfg.canceller.mode,
         evm_pct=m.evm.evm_rms_pct,

@@ -18,6 +18,8 @@ from .errors import RateMismatch, RfCancelError
 MAGIC = b"RCWV"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIddQ")
+# samples per piece of a .rcwv write: 256 KiB of float32 pairs
+RCWV_CHUNK = 1 << 15
 
 
 @dataclass
@@ -112,7 +114,21 @@ def common_valid(*waves: BasebandWaveform) -> tuple[np.ndarray, ...]:
     return tuple(w.samples[head:stop] for w in waves)
 
 
-def _atomic_write(path: str | os.PathLike, payload: bytes) -> None:
+class _Chunks:
+    """A file's bytes made piece by piece: iteration yields the pieces in
+    order, and ``len`` is their total size, as it is for bytes."""
+
+    def __init__(self, size: int, pieces):
+        self.size, self.pieces = size, pieces
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return iter(self.pieces)
+
+
+def _atomic_write(path: str | os.PathLike, payload: bytes | _Chunks) -> None:
     """Write ``payload`` to ``path`` through a temporary file and a rename.
 
     The temporary is opened with mode 0666, so the kernel applies the
@@ -124,7 +140,8 @@ def _atomic_write(path: str | os.PathLike, payload: bytes) -> None:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(payload if isinstance(payload, _Chunks)
+                          else (payload,))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -232,15 +249,23 @@ def _write_csv(path: str | os.PathLike, header: str, *columns) -> None:
 
 
 def save_waveform(w: BasebandWaveform, path: str | os.PathLike) -> None:
-    """Write the shared binary waveform format (atomically)."""
-    # the file is built in place: no float32 array or bytes copy beside it
-    buf = bytearray(_HEADER.size + 8 * w.samples.size)
-    _HEADER.pack_into(buf, 0, MAGIC, FORMAT_VERSION, w.sample_rate,
-                      w.center_freq, w.samples.size)
-    body = np.frombuffer(buf, "<f4", offset=_HEADER.size)
-    body[0::2] = w.samples.real
-    body[1::2] = w.samples.imag
-    _atomic_write(path, buf)
+    """Write the shared binary waveform format (atomically), converting
+    RCWV_CHUNK samples at a time into one reused float32 buffer: a save
+    holds no copy of the record at any length."""
+    x = w.samples
+
+    def pieces():
+        yield _HEADER.pack(MAGIC, FORMAT_VERSION, w.sample_rate,
+                           w.center_freq, x.size)
+        buf = np.empty(2 * min(RCWV_CHUNK, x.size), "<f4")
+        for k in range(0, x.size, RCWV_CHUNK):
+            part = x[k:k + RCWV_CHUNK]
+            body = buf[:2 * part.size]
+            body[0::2] = part.real
+            body[1::2] = part.imag
+            yield body
+
+    _atomic_write(path, _Chunks(_HEADER.size + 8 * x.size, pieces()))
 
 
 def load_waveform(path: str | os.PathLike) -> BasebandWaveform:

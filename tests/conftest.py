@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import yaml
 
+from rfcancel import config
 from rfcancel.sigsynth import FmNoiseSpec, generate_fm_interference
 from rfcancel.waveform import BasebandWaveform
 
@@ -31,6 +33,15 @@ def white_wave(n=65536, fs=FS, seed=0, power=1.0, center_freq=0.0):
 def tone_wave(freq, n=32768, fs=FS, center_freq=0.0, amp=1.0):
     t = np.arange(n) / fs
     return BasebandWaveform(amp * np.exp(2j * np.pi * freq * t), fs, center_freq)
+
+
+def unique_key_loaders():
+    """``config``'s duplicate-key check on each YAML reader this PyYAML
+    has: the pure-Python SafeLoader, and libyaml's CSafeLoader where PyYAML
+    was built with it."""
+    bases = [yaml.SafeLoader, getattr(yaml, "CSafeLoader", None)]
+    return [type(f"UniqueKey{b.__name__}", (config._UniqueKeys, b), {})
+            for b in bases if b is not None]
 
 
 def five_smooth(m):

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from rfcancel import cli, runner
+from rfcancel import cli, config, runner
 from rfcancel.cli import main
+
+from conftest import unique_key_loaders
 
 GOOD = {
     "schema_version": 1,
@@ -67,12 +69,15 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", str(tmp_path)]) == 1
         assert str(tmp_path) in capsys.readouterr().err
 
-    def test_undecodable_exit_2(self, tmp_path, capsys):
-        """A config that is not UTF-8 fails as bad YAML does."""
+    def test_undecodable_exit_2(self, tmp_path, capsys, monkeypatch):
+        """A config that is not UTF-8 fails as bad YAML does, on either
+        YAML reader (they word the bad byte differently)."""
         path = tmp_path / "latin1.yaml"
         path.write_bytes("soi: {format: qpsk}  # r\xe9f\n".encode("latin-1"))
-        assert main(["validate-config", "--config", str(path)]) == 2
-        assert str(path) in capsys.readouterr().err
+        for loader in unique_key_loaders():
+            monkeypatch.setattr(config, "_UniqueKeyLoader", loader)
+            assert main(["validate-config", "--config", str(path)]) == 2
+            assert str(path) in capsys.readouterr().err
 
 
 class TestRun:
@@ -250,10 +255,12 @@ class TestBadInputs:
         assert "so quote the value" in err
 
     @pytest.mark.parametrize("command", ["validate-config", "run"])
-    def test_repeated_key_exit_1_naming_it(self, command, tmp_path, capsys):
-        """A key repeated within one mapping is named with its line, where
-        YAML alone keeps the last: a repeated section would replace the
-        whole section, and a repeated scalar would run on the last value."""
+    def test_repeated_key_exit_1_naming_it(self, command, tmp_path, capsys,
+                                           monkeypatch):
+        """A key repeated within one mapping is named with its line, on
+        either YAML reader, where YAML alone keeps the last: a repeated
+        section would replace the whole section, and a repeated scalar
+        would run on the last value."""
         proto = (ROOT / "configs" / "protocols"
                  / "p5200mhz_qam64_10mbd.yaml").read_text()
         assert proto.endswith("\n") and proto.count("\n") == 47
@@ -264,12 +271,14 @@ class TestBadInputs:
         assert text.count(line) == 1
         scalar = tmp_path / "scalar.yaml"
         scalar.write_text(text.replace(line, line + "  training_window: 4096\n"))
-        for path, want in ((section, "soi: duplicate key (line 48)"),
-                           (scalar, "canceller.training_window: duplicate "
-                                    "key (line 31)")):
-            assert main([command, "--config", str(path),
-                         "--out", str(tmp_path / "out")]) == 1
-            assert capsys.readouterr().err == f"invalid: {want}\n"
+        for loader in unique_key_loaders():
+            monkeypatch.setattr(config, "_UniqueKeyLoader", loader)
+            for path, want in ((section, "soi: duplicate key (line 48)"),
+                               (scalar, "canceller.training_window: "
+                                        "duplicate key (line 31)")):
+                assert main([command, "--config", str(path),
+                             "--out", str(tmp_path / "out")]) == 1
+                assert capsys.readouterr().err == f"invalid: {want}\n"
         assert not (tmp_path / "out").exists()
 
     # finite dB values whose 10**(x/20) overflowed, with a command that

@@ -16,6 +16,7 @@ from rfcancel.errors import RateMismatch, RfCancelError
 from rfcancel.waveform import (
     FORMAT_VERSION,
     MAGIC,
+    RCWV_CHUNK,
     BasebandWaveform,
     _atomic_write,
     _write_csv,
@@ -150,9 +151,10 @@ class TestBinaryFormat:
         with pytest.raises(RfCancelError):
             load_waveform(path)
 
-    def test_save_holds_the_file_once(self, tmp_path):
-        """A save allocates the file's bytes once, half a complex128 record
-        copy, and the record still round-trips."""
+    def test_save_converts_in_bounded_chunks(self, tmp_path):
+        """A save holds one RCWV_CHUNK-sample float32 buffer, not the
+        file's bytes (2 MiB here, and the peak at a whole-file write), and
+        the record still round-trips."""
         n = 262_160
         w = white_wave(n, center_freq=2.4e9)
         path = tmp_path / "w.rcwv"
@@ -163,7 +165,12 @@ class TestBinaryFormat:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.6 * 16 * n
+        assert peak <= 8 * RCWV_CHUNK + 2**14
+        # a partial last chunk: the bytes are the whole record's conversion
+        assert n % RCWV_CHUNK
+        body = np.empty(2 * n, "<f4")
+        body[0::2], body[1::2] = w.samples.real, w.samples.imag
+        assert path.read_bytes()[32:] == body.tobytes()
         back = load_waveform(path)
         assert (back.sample_rate, back.center_freq) == (FS, 2.4e9)
         assert np.array_equal(back.samples,
